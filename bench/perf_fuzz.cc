@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "fuzz/fuzzer.h"
 #include "util/random.h"
@@ -93,6 +94,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"perf_fuzz\",\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"generator\": {\n"
                "    \"draws\": %d,\n"
                "    \"scenarios_per_s\": %.1f\n"
@@ -106,7 +108,8 @@ int main(int argc, char** argv) {
                "    \"violations\": %zu\n"
                "  }\n"
                "}\n",
-               kGenDraws, gen_per_s, report.scenarios, report.stats.checked,
+               std::thread::hardware_concurrency(), kGenDraws, gen_per_s,
+               report.scenarios, report.stats.checked,
                report.stats.skipped, check_s, scen_per_s,
                report.violations.size());
   std::fclose(f);

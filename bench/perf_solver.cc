@@ -5,7 +5,9 @@
 //      numerically identical to the serial one, and
 //   2. the exact / Schweitzer MVA hot path with a reused MvaWorkspace,
 //      counting heap allocations per call via a global operator-new hook
-//      (must be zero once the workspace is warm), and
+//      (must be zero once the workspace is warm), including the exact
+//      kernel on the model's two site shapes (6 chains; CPU + DISK, and
+//      CPU + DISK + LOG, ahead of the four delay centers), and
 //   3. the lockstep SoA batch Schweitzer kernel against the scalar kernel on
 //      the same scenarios: 8 lanes of a representative site network with
 //      per-lane demand skews, measured as interleaved medians to shrug off
@@ -139,6 +141,35 @@ carat::qn::ClosedNetwork MakeSiteNetwork(int population) {
     const std::size_t c = net.AddChain("chain" + std::to_string(k),
                                        population, /*think_time=*/1000.0);
     for (int m = 0; m < 7; ++m) net.chains[c].demands[m] = base[k][m];
+  }
+  return net;
+}
+
+// The model's site network shape (BuildSiteNetworks): 2 or 3 queueing
+// centers (CPU, DISK, optional LOG) first, then the LW/RW/CW/UT delay
+// centers, one chain per transaction type. Populations 3/3/2/2/1/1 give a
+// 576-state lattice.
+carat::qn::ClosedNetwork MakeModelSiteNetwork(bool log_disk) {
+  using namespace carat::qn;
+  ClosedNetwork net;
+  net.AddCenter("CPU", CenterKind::kQueueing);
+  net.AddCenter("DISK", CenterKind::kQueueing);
+  if (log_disk) net.AddCenter("LOG", CenterKind::kQueueing);
+  for (const char* name : {"LW", "RW", "CW", "UT"})
+    net.AddCenter(name, CenterKind::kDelay);
+  const int populations[6] = {3, 3, 2, 2, 1, 1};
+  for (int k = 0; k < 6; ++k) {
+    const std::size_t c = net.AddChain("chain" + std::to_string(k),
+                                       populations[k], /*think_time=*/500.0);
+    std::vector<double>& d = net.chains[c].demands;
+    d[0] = 1.0 + 0.4 * k;   // CPU
+    d[1] = 8.0 + 1.5 * k;   // DISK
+    if (log_disk) d[2] = 2.0 + 0.3 * k;
+    const std::size_t lw = log_disk ? 3 : 2;
+    d[lw] = 3.0 + k;          // LW
+    d[lw + 1] = k % 2 == 1 ? 12.0 : 0.0;  // RW (remote types only)
+    d[lw + 2] = k % 2 == 1 ? 20.0 : 0.0;  // CW
+    d[lw + 3] = 1.5;          // UT
   }
   return net;
 }
@@ -333,6 +364,13 @@ int main(int argc, char** argv) {
         carat::qn::ExactMvaInPlace(exact_net, &exact_ws);
       },
       2000);
+  const carat::qn::ClosedNetwork site2_net = MakeModelSiteNetwork(false);
+  const carat::qn::ClosedNetwork site3_net = MakeModelSiteNetwork(true);
+  carat::qn::MvaWorkspace site2_ws, site3_ws;
+  const MvaBench exact_site2 = BenchMva(
+      [&] { carat::qn::ExactMvaInPlace(site2_net, &site2_ws); }, 2000);
+  const MvaBench exact_site3 = BenchMva(
+      [&] { carat::qn::ExactMvaInPlace(site3_net, &site3_ws); }, 2000);
   const MvaBench approx = BenchMva(
       [&] {
         carat::qn::SchweitzerMvaInPlace(approx_net, &approx_ws,
@@ -368,6 +406,18 @@ int main(int argc, char** argv) {
                "    \"solves_per_s\": %.1f,\n"
                "    \"allocs_per_call_warm\": %llu\n"
                "  },\n"
+               "  \"exact_mva_site_2q\": {\n"
+               "    \"chains\": 6,\n"
+               "    \"queueing_centers\": 2,\n"
+               "    \"solves_per_s\": %.1f,\n"
+               "    \"allocs_per_call_warm\": %llu\n"
+               "  },\n"
+               "  \"exact_mva_site_3q\": {\n"
+               "    \"chains\": 6,\n"
+               "    \"queueing_centers\": 3,\n"
+               "    \"solves_per_s\": %.1f,\n"
+               "    \"allocs_per_call_warm\": %llu\n"
+               "  },\n"
                "  \"schweitzer_mva_workspace\": {\n"
                "    \"solves_per_s\": %.1f,\n"
                "    \"allocs_per_call_warm\": %llu\n"
@@ -387,6 +437,10 @@ int main(int argc, char** argv) {
                sweep_gate_armed ? "true" : "false",
                identical ? "true" : "false", exact.solves_per_s,
                static_cast<unsigned long long>(exact.allocs_per_call),
+               exact_site2.solves_per_s,
+               static_cast<unsigned long long>(exact_site2.allocs_per_call),
+               exact_site3.solves_per_s,
+               static_cast<unsigned long long>(exact_site3.allocs_per_call),
                approx.solves_per_s,
                static_cast<unsigned long long>(approx.allocs_per_call),
                static_cast<std::size_t>(carat::qn::kMvaBatchLaneWidth),
@@ -405,6 +459,12 @@ int main(int argc, char** argv) {
               exact.solves_per_s,
               static_cast<unsigned long long>(exact.allocs_per_call));
   std::printf(
+      "exact MVA, 6-chain site (2 / 3 queueing centers): %.0f / %.0f "
+      "solves/s, %llu / %llu allocs/call\n",
+      exact_site2.solves_per_s, exact_site3.solves_per_s,
+      static_cast<unsigned long long>(exact_site2.allocs_per_call),
+      static_cast<unsigned long long>(exact_site3.allocs_per_call));
+  std::printf(
       "schweitzer MVA (warm workspace): %.0f solves/s, %llu allocs/call\n",
       approx.solves_per_s,
       static_cast<unsigned long long>(approx.allocs_per_call));
@@ -418,7 +478,8 @@ int main(int argc, char** argv) {
       batch.bit_identical ? "yes" : "NO",
       static_cast<unsigned long long>(batch.batch_allocs_per_call));
   if (!identical) return 1;
-  if (exact.allocs_per_call != 0 || approx.allocs_per_call != 0) {
+  if (exact.allocs_per_call != 0 || exact_site2.allocs_per_call != 0 ||
+      exact_site3.allocs_per_call != 0 || approx.allocs_per_call != 0) {
     std::fprintf(stderr, "FAIL: warm-workspace MVA solve allocated\n");
     return 1;
   }

@@ -715,7 +715,10 @@ bool CheckServeIdentity(const Scenario& s, const CheckOptions& opts,
       service.SubmitBatch(queries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const ModelSolution got = futs[q].get();
-    const ModelSolution want = SolveModel(queries[q], opts.solver);
+    // Query 0 is s.input itself, already solved as `direct`.
+    ModelSolution solved;
+    if (q != 0) solved = SolveModel(queries[q], opts.solver);
+    const ModelSolution& want = q == 0 ? direct : solved;
     if (ModelSolutionFingerprint(got) != ModelSolutionFingerprint(want)) {
       *detail = "SubmitBatch() query " + std::to_string(q) +
                 " differs from CaratModel::Solve()";

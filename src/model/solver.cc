@@ -1008,6 +1008,9 @@ struct BatchSolveArena::Impl {
   // [unit * lanes + lane] network pointers handed to the batch kernels, and
   // the per-unit outcome of the current iteration's MVA sweep.
   std::vector<const qn::ClosedNetwork*> net_ptrs;
+  // Per-lane activity of the current iteration: the per-lane MVA path skips
+  // frozen and failed lanes.
+  std::vector<unsigned char> lane_active;
   std::vector<unsigned char> site_ok;
   std::vector<std::string> site_error;
 };
@@ -1369,9 +1372,10 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
   // Each active lane advances through exactly the scalar SolveInto step
   // sequence; the per-site MVA solves run across lanes through the batch
   // kernels. A lane that meets the tolerance freezes: its state stops
-  // changing (its MVA lanes keep riding with frozen demands, which is
-  // harmless — nothing reads them back), so its results are bit-identical
-  // to a scalar solve that stopped at the same iteration.
+  // changing, so its results are bit-identical to a scalar solve that
+  // stopped at the same iteration. The per-lane (exact) MVA path skips
+  // frozen lanes outright; the lockstep Schweitzer kernel keeps them riding
+  // with frozen demands, which is harmless — nothing reads them back.
   for (int iteration = 1;
        iteration <= options.max_iterations && remaining > 0; ++iteration) {
     for (std::size_t w = 0; w < lanes; ++w) {
@@ -1393,6 +1397,9 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
                      &lane.st);
     }
     if (remaining == 0) break;
+    ar.lane_active.resize(lanes);
+    for (std::size_t w = 0; w < lanes; ++w)
+      ar.lane_active[w] = ar.lanes[w].active ? 1 : 0;
 
     // (3) Demands and lockstep per-site MVA. Unit u's batch touches only
     // unit u's networks and workspace, so units still parallelize across
@@ -1410,7 +1417,8 @@ void CaratModel::SolveBatchInto(const ModelInput* const* inputs,
           options.use_exact_mva
               ? qn::SolveMvaBatchInPlace(ptrs, lanes, &ws, 1u << 20,
                                          /*warm_start=*/true,
-                                         &ar.site_error[u])
+                                         &ar.site_error[u],
+                                         ar.lane_active.data())
               : qn::SchweitzerMvaBatchInPlace(ptrs, lanes, &ws,
                                               /*tolerance=*/1e-9,
                                               /*max_iterations=*/10000,

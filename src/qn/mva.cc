@@ -61,6 +61,94 @@ bool JointLatticeStates(const ClosedNetwork& net, std::size_t limit,
   return true;
 }
 
+namespace {
+
+// Pointer bundle for the exact lattice walk. Row k of `rows` is chain k's
+// think time followed by its demands in center order (stride 1 + centers);
+// `q` holds one row of queueing-center queue lengths per lattice state.
+struct ExactLatticeArgs {
+  std::size_t num_chains = 0;
+  std::size_t num_centers = 0;
+  std::size_t num_queueing = 0;
+  std::size_t num_states = 0;
+  const std::size_t* dims = nullptr;
+  const std::size_t* strides = nullptr;
+  const double* rows = nullptr;
+  const double* qmul = nullptr;
+  double* q = nullptr;
+  double* scratch = nullptr;
+  std::size_t* n = nullptr;
+};
+
+// Walks the joint population lattice, filling q[state * Q + j] for the Q
+// queueing centers. A delay center's residence is its demand (the general
+// form d * (1 + 0 * q) is exactly d for finite q >= 0), so it never enters
+// the lattice; it is only added into the chain's total residence, which is
+// still summed sequentially in center order so every solution stays
+// bit-identical to the all-centers recursion. kQ > 0 pins the queueing
+// count at compile time (0: runtime count). kQueueingFirst selects the
+// compact form, valid when centers [0, Q) are the queueing ones (every
+// network the model builds); otherwise the row is walked in center order
+// with the queueing mask picking each center's form.
+template <std::size_t kQ, bool kQueueingFirst>
+void ExactLatticeWalk(const ExactLatticeArgs& a) {
+  const std::size_t nq = kQ != 0 ? kQ : a.num_queueing;
+  const std::size_t num_chains = a.num_chains;
+  const std::size_t num_centers = a.num_centers;
+  const std::size_t row_stride = num_centers + 1;
+  const std::size_t* __restrict dims = a.dims;
+  const std::size_t* __restrict strides = a.strides;
+  const double* __restrict rows = a.rows;
+  const double* __restrict qmul = a.qmul;
+  double* __restrict q = a.q;
+  std::size_t* __restrict n = a.n;
+  double local[kQ != 0 ? kQ : 1];
+  double* __restrict r = kQ != 0 ? local : a.scratch;
+
+  for (std::size_t j = 0; j < nq; ++j) q[j] = 0.0;  // the empty population
+  for (std::size_t state = 1; state < a.num_states; ++state) {
+    // Increment the mixed-radix counter; lexicographic order visits
+    // n - e_k before n, so one pass suffices.
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (++n[k] < dims[k]) break;
+      n[k] = 0;
+    }
+    double* __restrict qhere = q + state * nq;
+    for (std::size_t j = 0; j < nq; ++j) qhere[j] = 0.0;
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (n[k] == 0) continue;
+      const double* __restrict row = rows + k * row_stride;
+      const double* __restrict demands = row + 1;
+      const double* __restrict qprev = q + (state - strides[k]) * nq;
+      double total = 0.0;
+      if constexpr (kQueueingFirst) {
+        for (std::size_t j = 0; j < nq; ++j) {
+          r[j] = demands[j] * (1.0 + qprev[j]);
+          total += r[j];
+        }
+        for (std::size_t m = nq; m < num_centers; ++m) total += demands[m];
+      } else {
+        for (std::size_t m = 0, j = 0; m < num_centers; ++m) {
+          if (qmul[m] != 0.0) {
+            r[j] = demands[m] * (1.0 + qprev[j]);
+            total += r[j];
+            ++j;
+          } else {
+            total += demands[m];
+          }
+        }
+      }
+      const double denom = row[0] + total;
+      // Chains with zero total demand and zero think contribute nothing.
+      const double xk = denom > 0.0 ? static_cast<double>(n[k]) / denom : 0.0;
+      // Chain by chain, so each queue length accumulates in chain order.
+      for (std::size_t j = 0; j < nq; ++j) qhere[j] += xk * r[j];
+    }
+  }
+}
+
+}  // namespace
+
 bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
                      std::size_t max_states, std::string* error) {
   if (!net.Validate(error)) return false;
@@ -87,93 +175,78 @@ bool ExactMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
   }
   FillQueueingMask(net, &ws->qmul);
   const double* qmul = ws->qmul.data();
+  std::size_t num_queueing = 0;
+  bool queueing_first = true;
+  for (std::size_t m = 0; m < num_centers; ++m) {
+    if (qmul[m] == 0.0) continue;
+    queueing_first = queueing_first && m == num_queueing;
+    ++num_queueing;
+  }
 
-  // q[state * num_centers + m] = mean queue length at center m for the
-  // population vector encoded by `state`. Lexicographic enumeration visits
-  // n - e_k before n, so one pass suffices.
-  ws->q.assign(num_states * num_centers, 0.0);
+  // Compact per-chain rows: think time, then demands in center order.
+  const std::size_t row_stride = num_centers + 1;
+  ws->row.resize(num_chains * row_stride);
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    const Chain& chain = net.chains[k];
+    double* row = ws->row.data() + k * row_stride;
+    row[0] = chain.think_time;
+    for (std::size_t m = 0; m < num_centers; ++m) row[1 + m] = chain.demands[m];
+  }
+
+  ws->q.resize(num_states * num_queueing);
+  ws->resq.resize(num_queueing);
   ws->n.assign(num_chains, 0);
-  ws->x.assign(num_chains, 0.0);
-  ws->residence.assign(num_chains * num_centers, 0.0);
-  double* q = ws->q.data();
-  double* x = ws->x.data();
-  double* residence = ws->residence.data();
-  std::size_t* n = ws->n.data();
-
-  for (std::size_t state = 1; state < num_states; ++state) {
-    // Increment the mixed-radix counter.
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (++n[k] < ws->dims[k]) break;
-      n[k] = 0;
-    }
-
-    for (std::size_t k = 0; k < num_chains; ++k) x[k] = 0.0;
-
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (n[k] == 0) continue;
-      const Chain& chain = net.chains[k];
-      const double* demands = chain.demands.data();
-      const double* qprev = q + (state - ws->strides[k]) * num_centers;
-      double* res = residence + k * num_centers;
-      // The residence computation vectorizes; the total is summed in a
-      // separate *sequential* loop so the accumulation order is pinned
-      // (lowest center first). The batch kernels (mva_batch.cc) replay the
-      // same order per lane, which is what makes batch solves bit-identical
-      // to this scalar path.
-#pragma omp simd
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        res[m] = demands[m] * (1.0 + qmul[m] * qprev[m]);
-      }
-      double total = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
-      const double denom = chain.think_time + total;
-      // Chains with zero total demand and zero think contribute nothing.
-      x[k] = denom > 0.0 ? static_cast<double>(n[k]) / denom : 0.0;
-    }
-
-    // Accumulate chain by chain (unit-stride axpy) rather than center by
-    // center (strided gather) so the loop vectorizes.
-    double* qhere = q + state * num_centers;
-#pragma omp simd
-    for (std::size_t m = 0; m < num_centers; ++m) qhere[m] = 0.0;
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (n[k] == 0) continue;
-      const double xk = x[k];
-      const double* res = residence + k * num_centers;
-#pragma omp simd
-      for (std::size_t m = 0; m < num_centers; ++m) qhere[m] += xk * res[m];
+  if (num_queueing > 0) {
+    ExactLatticeArgs a;
+    a.num_chains = num_chains;
+    a.num_centers = num_centers;
+    a.num_queueing = num_queueing;
+    a.num_states = num_states;
+    a.dims = ws->dims.data();
+    a.strides = ws->strides.data();
+    a.rows = ws->row.data();
+    a.qmul = qmul;
+    a.q = ws->q.data();
+    a.scratch = ws->resq.data();
+    a.n = ws->n.data();
+    // 2 and 3 are the counts the model's site networks have (CPU, DISK and
+    // an optional LOG); every other count runs the runtime-count form.
+    switch (num_queueing) {
+      case 2:
+        queueing_first ? ExactLatticeWalk<2, true>(a)
+                       : ExactLatticeWalk<2, false>(a);
+        break;
+      case 3:
+        queueing_first ? ExactLatticeWalk<3, true>(a)
+                       : ExactLatticeWalk<3, false>(a);
+        break;
+      default:
+        queueing_first ? ExactLatticeWalk<0, true>(a)
+                       : ExactLatticeWalk<0, false>(a);
+        break;
     }
   }
 
-  // Recompute residence at the full population (the loop leaves residence[k]
-  // from the last state visited, which is the full population when
-  // num_states > 1; handle the trivial empty network explicitly).
-  if (num_states == 1) {
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      x[k] = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m)
-        residence[k * num_centers + m] = 0.0;
-    }
-  } else {
+  // Throughputs and residence times at the full population, all centers in
+  // center order (the trivial one-state lattice has none).
+  ws->x.assign(num_chains, 0.0);
+  ws->residence.assign(num_chains * num_centers, 0.0);
+  if (num_states > 1) {
+    const std::size_t full = num_states - 1;
     for (std::size_t k = 0; k < num_chains; ++k) {
       const Chain& chain = net.chains[k];
-      double* res = residence + k * num_centers;
-      if (chain.population == 0) {
-        x[k] = 0.0;
-        for (std::size_t m = 0; m < num_centers; ++m) res[m] = 0.0;
-        continue;
-      }
-      const std::size_t full = num_states - 1;
-      const double* qprev = q + (full - ws->strides[k]) * num_centers;
-      const double* demands = chain.demands.data();
-#pragma omp simd
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        res[m] = demands[m] * (1.0 + qmul[m] * qprev[m]);
-      }
+      if (chain.population == 0) continue;
+      const double* row = ws->row.data() + k * row_stride;
+      const std::size_t qprev = (full - ws->strides[k]) * num_queueing;
+      double* res = ws->residence.data() + k * num_centers;
       double total = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
-      const double denom = chain.think_time + total;
-      x[k] = denom > 0.0 ? chain.population / denom : 0.0;
+      for (std::size_t m = 0, j = 0; m < num_centers; ++m) {
+        res[m] = qmul[m] != 0.0 ? row[1 + m] * (1.0 + ws->q[qprev + j++])
+                                : row[1 + m];
+        total += res[m];
+      }
+      const double denom = row[0] + total;
+      ws->x[k] = denom > 0.0 ? chain.population / denom : 0.0;
     }
   }
 
@@ -247,9 +320,9 @@ bool SchweitzerMvaInPlace(const ClosedNetwork& net, MvaWorkspace* ws,
       const double* demands = chain.demands.data();
       const double* qrow = qkm + k * num_centers;
       double* res = residence + k * num_centers;
-      // Elementwise part vectorizes; the total is summed sequentially so the
-      // accumulation order is pinned and the batch kernel can replay it per
-      // lane (see the bit-identity note in ExactMvaInPlace).
+      // Elementwise part vectorizes; the total is summed in a separate
+      // sequential loop so the accumulation order is pinned (lowest center
+      // first) and the batch kernel (mva_batch.cc) can replay it per lane.
 #pragma omp simd
       for (std::size_t m = 0; m < num_centers; ++m) {
         // Schweitzer estimate of the queue seen on arrival by chain k.

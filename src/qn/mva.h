@@ -1,9 +1,11 @@
 // Mean Value Analysis solvers for closed multi-chain product-form networks.
 //
 // ExactMva implements the multi-chain exact MVA recursion over the full joint
-// population lattice (Reiser & Lavenberg). Its cost is
-// O(M * prod_k (N_k + 1)); the CARAT site models have at most six chains with
-// populations <= 4, so this is tiny. SchweitzerMva implements the
+// population lattice (Reiser & Lavenberg). A delay center's residence is its
+// demand at every population, so the lattice stores queue lengths for the
+// queueing centers only; the cost is O(K * M * prod_k (N_k + 1)) additions
+// but only O(Q * prod_k (N_k + 1)) memory for Q queueing centers. The CARAT
+// site models have six chains with populations <= 4, so this is tiny. SchweitzerMva implements the
 // Schweitzer-Bard fixed-point approximation for larger populations; the model
 // solver falls back to it automatically above a state-count threshold.
 //
@@ -52,12 +54,15 @@ struct MvaWorkspace {
   /// instead of the even-spread initial guess.
   std::vector<double> qkm;
 
-  // Scratch: exact-MVA joint-population lattice, per-chain throughputs,
-  // flattened per-(chain, center) residence times, the per-center queueing
-  // multiplier mask (1.0 for queueing centers, 0.0 for delay centers, which
-  // hoists the CenterKind branch out of the inner loops), per-center queue
-  // totals, and the mixed-radix counters of the exact recursion.
-  std::vector<double> q, x, residence, qmul, qsum;
+  // Scratch: exact-MVA joint-population lattice (queueing centers only,
+  // `state * queueing + j`), per-chain rows (think time, then demands in
+  // center order), per-queueing-center residences of one chain, per-chain
+  // throughputs, flattened per-(chain, center) residence times, the
+  // per-center queueing multiplier mask (1.0 for queueing centers, 0.0 for
+  // delay centers, which hoists the CenterKind branch out of the inner
+  // loops), per-center queue totals, and the mixed-radix counters of the
+  // exact recursion.
+  std::vector<double> q, row, resq, x, residence, qmul, qsum;
   std::vector<std::size_t> dims, strides, n;
 };
 

@@ -11,7 +11,7 @@ void SetError(std::string* error, const char* msg) {
   if (error != nullptr) *error = msg;
 }
 
-// Shape/validation preamble shared by the two lockstep kernels. On success
+// Shape/validation preamble of the lockstep kernel. On success
 // the lanes agree on center count, center kinds and chain count and every
 // lane's network passed Validate().
 bool CheckBatch(const ClosedNetwork* const* nets, std::size_t lanes,
@@ -339,172 +339,10 @@ bool SchweitzerMvaBatchInPlace(const ClosedNetwork* const* nets,
   return true;
 }
 
-bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
-                          BatchMvaWorkspace* ws, std::size_t max_states,
-                          std::string* error) {
-  if (!CheckBatch(nets, lanes, error)) return false;
-  const std::size_t num_chains = nets[0]->chains.size();
-  const std::size_t num_centers = nets[0]->centers.size();
-  for (std::size_t w = 1; w < lanes; ++w) {
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (nets[w]->chains[k].population != nets[0]->chains[k].population) {
-        SetError(error, "exact batch lanes differ in chain populations");
-        return false;
-      }
-    }
-  }
-  std::size_t num_states = 0;
-  if (!JointLatticeStates(*nets[0], max_states, &num_states)) {
-    SetError(error, "joint population lattice exceeds max_states");
-    return false;
-  }
-
-  // Mixed-radix layout of the (shared) joint population lattice.
-  ws->dims.resize(num_chains);
-  ws->strides.resize(num_chains);
-  {
-    std::size_t stride = 1;
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      ws->dims[k] =
-          static_cast<std::size_t>(nets[0]->chains[k].population) + 1;
-      ws->strides[k] = stride;
-      stride *= ws->dims[k];
-    }
-  }
-  internal::FillQueueingMask(*nets[0], &ws->qmul);
-  LoadChainSoA(nets, lanes, num_chains, num_centers, ws);
-
-  const std::size_t mw = num_centers * lanes;
-  ws->q.assign(num_states * mw, 0.0);
-  ws->n.assign(num_chains, 0);
-  ws->x.assign(num_chains * lanes, 0.0);
-  ws->residence.assign(num_chains * num_centers * lanes, 0.0);
-  ws->total.resize(lanes);
-
-  double* __restrict q = ws->q.data();
-  double* __restrict x = ws->x.data();
-  double* __restrict res = ws->residence.data();
-  double* __restrict total = ws->total.data();
-  const double* __restrict dem = ws->demands.data();
-  const double* __restrict think = ws->think.data();
-  const double* __restrict qmul = ws->qmul.data();
-  std::size_t* __restrict n = ws->n.data();
-
-  for (std::size_t state = 1; state < num_states; ++state) {
-    // Increment the mixed-radix counter.
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (++n[k] < ws->dims[k]) break;
-      n[k] = 0;
-    }
-
-#pragma omp simd
-    for (std::size_t c = 0; c < num_chains * lanes; ++c) x[c] = 0.0;
-
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (n[k] == 0) continue;
-      const double* __restrict qprev = q + (state - ws->strides[k]) * mw;
-      const double* __restrict zrow = think + k * lanes;
-      const double pop = static_cast<double>(n[k]);
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) total[w] = 0.0;
-      // Centers ascending, accumulating each lane's total sequentially in
-      // the scalar kernel's order.
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        const std::size_t e = (k * num_centers + m) * lanes;
-        const double* __restrict drow = dem + e;
-        const double* __restrict prow = qprev + m * lanes;
-        double* __restrict rrow = res + e;
-        const double qm = qmul[m];
-#pragma omp simd
-        for (std::size_t w = 0; w < lanes; ++w) {
-          const double r = drow[w] * (1.0 + qm * prow[w]);
-          rrow[w] = r;
-          total[w] += r;
-        }
-      }
-      double* __restrict xrow = x + k * lanes;
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) {
-        const double denom = zrow[w] + total[w];
-        // Chains with zero total demand and zero think contribute nothing.
-        xrow[w] = denom > 0.0 ? pop / denom : 0.0;
-      }
-    }
-
-    // Accumulate chain by chain (unit-stride over lanes) exactly like the
-    // scalar kernel's chain-by-chain axpy.
-    double* __restrict qhere = q + state * mw;
-#pragma omp simd
-    for (std::size_t s = 0; s < mw; ++s) qhere[s] = 0.0;
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      if (n[k] == 0) continue;
-      const double* __restrict xrow = x + k * lanes;
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        const double* __restrict rrow = res + (k * num_centers + m) * lanes;
-        double* __restrict hrow = qhere + m * lanes;
-#pragma omp simd
-        for (std::size_t w = 0; w < lanes; ++w) hrow[w] += xrow[w] * rrow[w];
-      }
-    }
-  }
-
-  // Recompute residence at the full population (mirrors the scalar kernel,
-  // including the trivial empty-lattice case).
-  if (num_states == 1) {
-    for (std::size_t c = 0; c < num_chains * lanes; ++c) x[c] = 0.0;
-    for (std::size_t e = 0; e < num_chains * num_centers * lanes; ++e)
-      res[e] = 0.0;
-  } else {
-    const std::size_t full = num_states - 1;
-    for (std::size_t k = 0; k < num_chains; ++k) {
-      const int population = nets[0]->chains[k].population;
-      double* __restrict xrow = x + k * lanes;
-      if (population == 0) {
-        for (std::size_t w = 0; w < lanes; ++w) xrow[w] = 0.0;
-        for (std::size_t m = 0; m < num_centers; ++m) {
-          double* __restrict rrow = res + (k * num_centers + m) * lanes;
-          for (std::size_t w = 0; w < lanes; ++w) rrow[w] = 0.0;
-        }
-        continue;
-      }
-      const double* __restrict qprev = q + (full - ws->strides[k]) * mw;
-      const double* __restrict zrow = think + k * lanes;
-      const double pop = population;
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) total[w] = 0.0;
-      for (std::size_t m = 0; m < num_centers; ++m) {
-        const std::size_t e = (k * num_centers + m) * lanes;
-        const double* __restrict drow = dem + e;
-        const double* __restrict prow = qprev + m * lanes;
-        double* __restrict rrow = res + e;
-        const double qm = qmul[m];
-#pragma omp simd
-        for (std::size_t w = 0; w < lanes; ++w) {
-          const double r = drow[w] * (1.0 + qm * prow[w]);
-          rrow[w] = r;
-          total[w] += r;
-        }
-      }
-#pragma omp simd
-      for (std::size_t w = 0; w < lanes; ++w) {
-        const double denom = zrow[w] + total[w];
-        xrow[w] = denom > 0.0 ? pop / denom : 0.0;
-      }
-    }
-  }
-
-  ws->solutions.resize(lanes);
-  ws->iterations.assign(lanes, 0);
-  for (std::size_t w = 0; w < lanes; ++w) {
-    FinishLane(*nets[w], lanes, w, num_chains, num_centers, ws);
-  }
-  return true;
-}
-
 bool SolveMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
                           BatchMvaWorkspace* ws,
                           std::size_t exact_state_limit, bool warm_start,
-                          std::string* error) {
+                          std::string* error, const unsigned char* active) {
   if (lanes == 0) {
     SetError(error, "batch solve needs at least one lane");
     return false;
@@ -512,51 +350,25 @@ bool SolveMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
   // Per-lane exact/Schweitzer decision, identical to SolveMvaInPlace's rule
   // so lane w's result matches a scalar solve of lane w's network bit for
   // bit regardless of which implementation runs below.
-  bool all_exact = true, any_exact = false;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    const bool exact = JointLatticeStates(*nets[w], exact_state_limit);
-    all_exact = all_exact && exact;
-    any_exact = any_exact || exact;
+  bool any_exact = false;
+  for (std::size_t w = 0; w < lanes && !any_exact; ++w) {
+    any_exact = JointLatticeStates(*nets[w], exact_state_limit);
   }
   if (!any_exact) {
     return SchweitzerMvaBatchInPlace(nets, lanes, ws, /*tolerance=*/1e-9,
                                      /*max_iterations=*/10000, warm_start,
                                      error);
   }
-  if (all_exact) {
-    bool shared_lattice = true;
-    for (std::size_t w = 1; w < lanes && shared_lattice; ++w) {
-      if (nets[w]->chains.size() != nets[0]->chains.size()) {
-        shared_lattice = false;
-        break;
-      }
-      for (std::size_t k = 0; k < nets[0]->chains.size(); ++k) {
-        if (nets[w]->chains[k].population != nets[0]->chains[k].population) {
-          shared_lattice = false;
-          break;
-        }
-      }
-    }
-    // The SoA lattice costs `states * centers * lanes` doubles; past this
-    // cap the scalar walk per lane is the better trade (and keeps the batch
-    // memory footprint bounded).
-    constexpr std::size_t kExactBatchSoaDoubles = std::size_t{1} << 23;
-    std::size_t states = 0;
-    if (shared_lattice &&
-        JointLatticeStates(*nets[0], exact_state_limit, &states) &&
-        states * nets[0]->centers.size() <= kExactBatchSoaDoubles / lanes) {
-      return ExactMvaBatchInPlace(nets, lanes, ws, exact_state_limit, error);
-    }
-  }
-  // Mixed batch (or exact lanes without a shared lattice): scalar kernels
-  // per lane. Bit-identity is free here; only the lockstep speedup is lost.
+  // Any exact lane: the scalar kernels per lane. Bit-identity is free here,
+  // and the scalar exact kernel outruns a lockstep one (see DESIGN.md §11).
   // Warm Schweitzer state for this path lives in scalar_ws[w].qkm (cleared
   // by InvalidateWarm), matching the scalar solver's retained-workspace
-  // semantics.
+  // semantics; a skipped lane keeps its workspace untouched.
   if (ws->scalar_ws.size() < lanes) ws->scalar_ws.resize(lanes);
   ws->solutions.resize(lanes);
   ws->iterations.resize(lanes);
   for (std::size_t w = 0; w < lanes; ++w) {
+    if (active != nullptr && active[w] == 0) continue;
     if (!SolveMvaInPlace(*nets[w], &ws->scalar_ws[w], exact_state_limit,
                          warm_start, error)) {
       return false;

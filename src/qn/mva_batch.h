@@ -4,12 +4,14 @@
 // serving layer solve dozens of *same-shape* network variants (same centers,
 // same center kinds, same chain count; different demands, think times and
 // populations). The scalar kernels in mva.h vectorize only *within* one
-// solve, across the handful of centers; these kernels instead lay W networks
-// out structure-of-arrays (`param[chain][center][lane]`) and advance all W
-// through the recursion in lockstep, so the innermost loop is always a
-// unit-stride pass over lanes and the SIMD width is filled regardless of how
-// small one network is. The speedup is data-parallel, not thread-parallel:
-// it does not depend on core count.
+// solve, across the handful of centers; the Schweitzer-Bard kernel here
+// instead lays W networks out structure-of-arrays
+// (`param[chain][center][lane]`) and advances all W through the fixed point
+// in lockstep, so the innermost loop is always a unit-stride pass over lanes
+// and the SIMD width is filled regardless of how small one network is. The
+// speedup is data-parallel, not thread-parallel: it does not depend on core
+// count. Exact MVA has no lockstep kernel: the scalar one, whose lattice
+// holds the queueing centers only, is faster per lane.
 //
 // Bit-identity contract: lane w of a batch solve produces *bit-identical*
 // results to a scalar solve of the same network. Three properties pin this:
@@ -111,18 +113,16 @@ struct BatchMvaWorkspace {
 
   // Scratch (all structure-of-arrays over lanes): demands/residence are
   // (chain, center)-major, x/think/nk/invn are chain-major, qsum is
-  // center-major; total/delta/active are per-lane; q is the shared exact-MVA
-  // joint-population lattice (state, center)-major; lane_x/lane_res are the
+  // center-major; total/delta/active are per-lane; lane_x/lane_res are the
   // per-lane gather buffers handed to internal::FinishSolution (plain
   // vectors — they are touched once per solve, not per sweep).
   LaneVector demands, residence, x, think, nk, invn, qsum;
-  LaneVector total, delta, qmul, q;
+  LaneVector total, delta, qmul;
   std::vector<double> lane_x, lane_res;
   std::vector<unsigned char> active;
-  std::vector<std::size_t> dims, strides, n;
-  /// Per-lane scalar workspaces for the mixed-path fallback of
-  /// SolveMvaBatchInPlace (lanes that must solve exact at different lattice
-  /// shapes run the scalar kernel, staying bit-identical by construction).
+  /// Per-lane scalar workspaces for the per-lane path of
+  /// SolveMvaBatchInPlace (batches with an exact lane run the scalar
+  /// kernels, staying bit-identical by construction).
   std::vector<MvaWorkspace> scalar_ws;
 };
 
@@ -144,28 +144,22 @@ bool SchweitzerMvaBatchInPlace(const ClosedNetwork* const* nets,
                                bool warm_start = false,
                                std::string* error = nullptr);
 
-/// Lane-blocked exact MVA: requires the lanes to share the joint population
-/// lattice (same per-chain populations) in addition to the shape, so one
-/// mixed-radix walk serves all lanes. Demands and think times may differ.
-/// Returns false when the lattice exceeds `max_states`, on a lattice-shape
-/// mismatch, or on validation failure.
-bool ExactMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
-                          BatchMvaWorkspace* ws,
-                          std::size_t max_states = 1u << 22,
-                          std::string* error = nullptr);
-
 /// Batch counterpart of SolveMvaInPlace: each lane takes the exact path iff
 /// its own lattice fits in `exact_state_limit` (the same per-network rule as
 /// the scalar solver, so lane w's result is bit-identical to
-/// SolveMvaInPlace on lane w's network). All-Schweitzer batches and
-/// all-exact batches with a shared lattice run lockstep; mixed batches (or
-/// exact lanes with differing lattices) fall back to the scalar kernels per
-/// lane, preserving the results while losing only the speedup.
+/// SolveMvaInPlace on lane w's network). All-Schweitzer batches run
+/// lockstep; a batch with any exact lane runs the scalar kernels per lane
+/// (the scalar exact kernel is faster than a lockstep one would be).
+/// `active`, when non-null, marks the lanes to solve on that per-lane path:
+/// a lane with active[w] == 0 is skipped, and its solutions[w],
+/// iterations[w] and retained queue lengths keep their previous values. The
+/// lockstep path solves every lane.
 bool SolveMvaBatchInPlace(const ClosedNetwork* const* nets, std::size_t lanes,
                           BatchMvaWorkspace* ws,
                           std::size_t exact_state_limit = 1u << 20,
                           bool warm_start = false,
-                          std::string* error = nullptr);
+                          std::string* error = nullptr,
+                          const unsigned char* active = nullptr);
 
 }  // namespace carat::qn
 

@@ -240,6 +240,47 @@ TEST(CcBackends, QueueRecordsZeroDeadlocksWhereTwoPhaseLockingThrashes) {
   EXPECT_GE(TotalCommits(queue), TotalCommits(two_pl));
 }
 
+// FNV-1a 64 of a fingerprint string: a short constant to pin it by.
+std::uint64_t Fnv1a64(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(CcBackends, ModelSolutionFingerprintAnchors) {
+  // Every bit of the paper workloads' model solutions, per backend, pinned
+  // across builds: a solver change that moves one ulp anywhere (throughput,
+  // Pb, a residence time, an iteration count) changes the hash. Captured
+  // before the exact MVA kernel went queueing-centers-only; the kernel must
+  // reproduce them exactly.
+  const std::uint64_t kAnchors[4][4] = {
+      // 2pl, nowait, waitdie, queue
+      {0x580ee030182742a8ull, 0xf1149aa3ea7db8a5ull, 0x185158479a80ae4dull,
+       0x45c58f63b96d84b7ull},  // lb8
+      {0x400fcfa15b389397ull, 0x4a44cba94ede3bb1ull, 0x8b0ef35c497ba9b5ull,
+       0x8ea40cf61fb95025ull},  // mb4
+      {0x80c6f8ff3a34d52full, 0x213b4400d0ccffe8ull, 0x4d584864b14c3aa0ull,
+       0x1bb7574f4a2848faull},  // mb8
+      {0x40947c14a57130fbull, 0x77e8cfbaca91dadeull, 0x6e70943957015db5ull,
+       0xd21c74024bd29a31ull},  // ub6
+  };
+  const std::vector<PaperConfig> configs = PaperConfigs();
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    for (std::size_t b = 0; b < cc::kAllBackends.size(); ++b) {
+      workload::WorkloadSpec spec = configs[i].spec;
+      spec.cc_backend = cc::kAllBackends[b];
+      const model::ModelSolution sol =
+          model::CaratModel(spec.ToModelInput()).Solve();
+      ASSERT_TRUE(sol.ok) << sol.error;
+      EXPECT_EQ(Fnv1a64(fuzz::ModelSolutionFingerprint(sol)), kAnchors[i][b])
+          << configs[i].name << " / " << cc::Name(cc::kAllBackends[b]);
+    }
+  }
+}
+
 TEST(CcBackends, ModelTracksTestbedPerBackendOnThePaperWorkloads) {
   // Established tolerance policy (see the validation calibration in
   // DESIGN.md §15): 2PL keeps the paper-era 25% worst-node bound; queue

@@ -203,7 +203,8 @@ TEST(SchweitzerMvaBatch, RejectsMixedShapes) {
 }
 
 TEST(ExactMvaBatch, BitIdenticalToScalarWithSharedLattice) {
-  // Same populations (shared lattice), different demands/think per lane.
+  // Same populations (shared lattice), different demands/think per lane:
+  // exact lanes run the scalar kernel per lane, iteration count 0.
   std::vector<ClosedNetwork> nets;
   for (std::size_t w = 0; w < 4; ++w) nets.push_back(MakeNet(3 * w, 4));
   for (auto& net : nets) {
@@ -213,8 +214,9 @@ TEST(ExactMvaBatch, BitIdenticalToScalarWithSharedLattice) {
 
   BatchMvaWorkspace bw;
   std::string err;
-  ASSERT_TRUE(ExactMvaBatchInPlace(ptrs.data(), nets.size(), &bw,
-                                   /*max_states=*/1u << 22, &err))
+  ASSERT_TRUE(SolveMvaBatchInPlace(ptrs.data(), nets.size(), &bw,
+                                   /*exact_state_limit=*/1u << 20,
+                                   /*warm_start=*/false, &err))
       << err;
   for (std::size_t w = 0; w < nets.size(); ++w) {
     MvaWorkspace sw;
@@ -224,16 +226,36 @@ TEST(ExactMvaBatch, BitIdenticalToScalarWithSharedLattice) {
   }
 }
 
-TEST(ExactMvaBatch, RejectsDifferingPopulations) {
+TEST(SolveMvaBatch, InactiveLanesKeepTheirLastSolution) {
+  // Lanes 0/2 exact, lanes 1/3 Schweitzer: the per-lane path. Lanes whose
+  // activity flag is 0 are skipped, so their solutions and retained queue
+  // lengths stay those of the last solve they took part in.
   std::vector<ClosedNetwork> nets;
-  nets.push_back(MakeNet(0, 4));
-  nets.push_back(MakeNet(0, 4));
-  nets[1].chains[1].population = 5;
+  nets.push_back(MakeNet(0, 2));
+  nets.push_back(MakeNet(1, 64));
+  nets.push_back(MakeNet(2, 3));
+  nets.push_back(MakeNet(3, 64));
   const auto ptrs = Pointers(nets);
+  constexpr std::size_t kLimit = 1000;
+
   BatchMvaWorkspace bw;
-  std::string err;
-  EXPECT_FALSE(ExactMvaBatchInPlace(ptrs.data(), 2, &bw, 1u << 22, &err));
-  EXPECT_NE(err.find("population"), std::string::npos) << err;
+  ASSERT_TRUE(SolveMvaBatchInPlace(ptrs.data(), nets.size(), &bw, kLimit,
+                                   /*warm_start=*/true));
+  const std::vector<Solution> first = bw.solutions;
+  const std::vector<double> frozen_qkm = bw.scalar_ws[1].qkm;
+
+  for (auto& net : nets) {
+    for (auto& chain : net.chains) chain.demands[0] *= 1.5;
+  }
+  const unsigned char active[] = {1, 0, 0, 1};
+  ASSERT_TRUE(SolveMvaBatchInPlace(ptrs.data(), nets.size(), &bw, kLimit,
+                                   /*warm_start=*/true, nullptr, active));
+  MvaWorkspace sw;
+  ASSERT_TRUE(SolveMvaInPlace(nets[0], &sw, kLimit));
+  ExpectBitIdentical(bw.solutions[0], sw.solution, 0);  // re-solved
+  ExpectBitIdentical(bw.solutions[1], first[1], 1);     // skipped
+  ExpectBitIdentical(bw.solutions[2], first[2], 2);     // skipped
+  EXPECT_EQ(bw.scalar_ws[1].qkm, frozen_qkm);
 }
 
 TEST(SolveMvaBatch, AllSchweitzerTakesLockstepPathBitIdentical) {

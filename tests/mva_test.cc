@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "qn/bounds.h"
 #include "qn/ethernet.h"
@@ -266,6 +272,183 @@ TEST(SolveMva, FallsBackToSchweitzerAboveLimit) {
   ASSERT_TRUE(res.ok);
   for (double x : res.solution.throughput) EXPECT_GT(x, 0.0);
   EXPECT_LE(res.solution.utilization[cpu], 1.0 + 1e-9);
+}
+
+// ---- Bitwise reference for the exact kernel -------------------------------
+// The all-centers exact MVA recursion: the lattice holds a queue length for
+// every center, and every center's residence is demands[m] * (1 + qmul[m] *
+// q[m]) with qmul[m] = 0 at delay centers. ExactMvaInPlace skips the delay
+// centers' lattice entries; its solutions must match this loop bit for bit
+// (the target is compiled with -ffp-contract=off, like carat_qn).
+Solution ReferenceExactMva(const ClosedNetwork& net) {
+  const std::size_t num_chains = net.chains.size();
+  const std::size_t num_centers = net.centers.size();
+  std::size_t num_states = 0;
+  EXPECT_TRUE(JointLatticeStates(net, std::size_t{1} << 22, &num_states));
+  std::vector<std::size_t> dims(num_chains), strides(num_chains);
+  std::size_t stride = 1;
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    dims[k] = static_cast<std::size_t>(net.chains[k].population) + 1;
+    strides[k] = stride;
+    stride *= dims[k];
+  }
+  std::vector<double> qmul;
+  internal::FillQueueingMask(net, &qmul);
+  std::vector<double> q(num_states * num_centers, 0.0);
+  std::vector<std::size_t> n(num_chains, 0);
+  std::vector<double> x(num_chains, 0.0);
+  std::vector<double> residence(num_chains * num_centers, 0.0);
+
+  for (std::size_t state = 1; state < num_states; ++state) {
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (++n[k] < dims[k]) break;
+      n[k] = 0;
+    }
+    for (std::size_t k = 0; k < num_chains; ++k) x[k] = 0.0;
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (n[k] == 0) continue;
+      const Chain& chain = net.chains[k];
+      const double* qprev = q.data() + (state - strides[k]) * num_centers;
+      double* res = residence.data() + k * num_centers;
+      for (std::size_t m = 0; m < num_centers; ++m)
+        res[m] = chain.demands[m] * (1.0 + qmul[m] * qprev[m]);
+      double total = 0.0;
+      for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
+      const double denom = chain.think_time + total;
+      x[k] = denom > 0.0 ? static_cast<double>(n[k]) / denom : 0.0;
+    }
+    double* qhere = q.data() + state * num_centers;
+    for (std::size_t m = 0; m < num_centers; ++m) qhere[m] = 0.0;
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      if (n[k] == 0) continue;
+      const double* res = residence.data() + k * num_centers;
+      for (std::size_t m = 0; m < num_centers; ++m) qhere[m] += x[k] * res[m];
+    }
+  }
+
+  if (num_states == 1) {
+    std::fill(x.begin(), x.end(), 0.0);
+    std::fill(residence.begin(), residence.end(), 0.0);
+  } else {
+    for (std::size_t k = 0; k < num_chains; ++k) {
+      const Chain& chain = net.chains[k];
+      double* res = residence.data() + k * num_centers;
+      if (chain.population == 0) {
+        x[k] = 0.0;
+        for (std::size_t m = 0; m < num_centers; ++m) res[m] = 0.0;
+        continue;
+      }
+      const double* qprev =
+          q.data() + (num_states - 1 - strides[k]) * num_centers;
+      for (std::size_t m = 0; m < num_centers; ++m)
+        res[m] = chain.demands[m] * (1.0 + qmul[m] * qprev[m]);
+      double total = 0.0;
+      for (std::size_t m = 0; m < num_centers; ++m) total += res[m];
+      const double denom = chain.think_time + total;
+      x[k] = denom > 0.0 ? chain.population / denom : 0.0;
+    }
+  }
+  Solution sol;
+  internal::FinishSolution(net, x, residence, &sol);
+  return sol;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void ExpectBitIdentical(const Solution& got, const Solution& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.throughput.size(), want.throughput.size()) << where;
+  ASSERT_EQ(got.queue_length.size(), want.queue_length.size()) << where;
+  for (std::size_t k = 0; k < want.throughput.size(); ++k) {
+    EXPECT_TRUE(SameBits(got.throughput[k], want.throughput[k]))
+        << where << " throughput[" << k << "]";
+    EXPECT_TRUE(SameBits(got.response_time[k], want.response_time[k]))
+        << where << " response_time[" << k << "]";
+    for (std::size_t m = 0; m < want.queue_length.size(); ++m) {
+      EXPECT_TRUE(SameBits(got.residence[k][m], want.residence[k][m]))
+          << where << " residence[" << k << "][" << m << "]";
+    }
+  }
+  for (std::size_t m = 0; m < want.queue_length.size(); ++m) {
+    EXPECT_TRUE(SameBits(got.queue_length[m], want.queue_length[m]))
+        << where << " queue_length[" << m << "]";
+    EXPECT_TRUE(SameBits(got.utilization[m], want.utilization[m]))
+        << where << " utilization[" << m << "]";
+  }
+}
+
+// A random network with `queueing` queueing and `delay` delay centers, in
+// queueing-first order or shuffled. Populations may be zero and about one
+// demand in five is zero.
+ClosedNetwork RandomKernelNetwork(util::Rng* rng, std::size_t queueing,
+                                  std::size_t delay, bool queueing_first) {
+  std::vector<CenterKind> kinds(queueing, CenterKind::kQueueing);
+  kinds.resize(queueing + delay, CenterKind::kDelay);
+  if (!queueing_first) {
+    for (std::size_t m = kinds.size(); m > 1; --m)
+      std::swap(kinds[m - 1], kinds[rng->NextBounded(m)]);
+  }
+  ClosedNetwork net;
+  for (std::size_t m = 0; m < kinds.size(); ++m)
+    net.AddCenter("c" + std::to_string(m), kinds[m]);
+  const std::size_t num_chains = 1 + rng->NextBounded(4);
+  for (std::size_t k = 0; k < num_chains; ++k) {
+    const std::size_t c = net.AddChain(
+        "k" + std::to_string(k), static_cast<int>(rng->NextBounded(5)),
+        rng->NextDouble() < 0.25 ? 0.0 : rng->NextDouble() * 50.0);
+    for (double& d : net.chains[c].demands)
+      d = rng->NextDouble() < 0.2 ? 0.0 : rng->NextDouble() * 20.0;
+  }
+  return net;
+}
+
+TEST(ExactMvaKernel, BitIdenticalToAllCentersReference) {
+  util::Rng rng(20260419);
+  MvaWorkspace reused;  // warm across shapes, like the model's workspaces
+  int interleaved = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t queueing = static_cast<std::size_t>(trial % 5);  // 0-4
+    const std::size_t delay = rng.NextBounded(5);
+    const bool first = trial % 2 == 0;
+    const ClosedNetwork net =
+        RandomKernelNetwork(&rng, queueing, delay, first);
+    for (std::size_t m = 1; m < net.centers.size(); ++m) {
+      interleaved += net.centers[m - 1].kind == CenterKind::kDelay &&
+                     net.centers[m].kind == CenterKind::kQueueing;
+    }
+    const Solution want = ReferenceExactMva(net);
+    MvaWorkspace fresh;
+    ASSERT_TRUE(ExactMvaInPlace(net, &fresh));
+    ASSERT_TRUE(ExactMvaInPlace(net, &reused));
+    const std::string where = "trial " + std::to_string(trial);
+    ExpectBitIdentical(fresh.solution, want, where + " (fresh)");
+    ExpectBitIdentical(reused.solution, want, where + " (reused)");
+    EXPECT_EQ(fresh.iterations, 0);
+  }
+  EXPECT_GT(interleaved, 50);  // the shuffled orders really interleave
+}
+
+TEST(ExactMvaKernel, OneStateLatticeAndZeroDemandsMatchReference) {
+  util::Rng rng(7);
+  for (std::size_t queueing = 1; queueing <= 4; ++queueing) {
+    ClosedNetwork net = RandomKernelNetwork(&rng, queueing, 4, true);
+    for (Chain& chain : net.chains) chain.population = 0;  // one state
+    MvaWorkspace ws;
+    ASSERT_TRUE(ExactMvaInPlace(net, &ws));
+    ExpectBitIdentical(ws.solution, ReferenceExactMva(net), "one state");
+    for (double x : ws.solution.throughput) EXPECT_EQ(x, 0.0);
+
+    // A chain with no demand and no think time has zero throughput.
+    for (Chain& chain : net.chains) chain.population = 3;
+    std::fill(net.chains[0].demands.begin(), net.chains[0].demands.end(),
+              0.0);
+    net.chains[0].think_time = 0.0;
+    ASSERT_TRUE(ExactMvaInPlace(net, &ws));
+    ExpectBitIdentical(ws.solution, ReferenceExactMva(net), "zero demands");
+    EXPECT_EQ(ws.solution.throughput[0], 0.0);
+  }
 }
 
 // Property sweep: random small networks must satisfy the invariants.
