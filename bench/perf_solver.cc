@@ -1,8 +1,11 @@
 // perf_solver - establishes the repo's solver perf trajectory. Times
 //
-//   1. an end-to-end model sweep (8 MPL points x 4 paper workloads) run
-//      serially vs. on the exec::ThreadPool, asserting the parallel run is
-//      numerically identical to the serial one, and
+//   1. an end-to-end what-if model sweep (4 paper workloads x 8 MPL points,
+//      each point solved at 8 user think times) run serially vs. on the
+//      exec::ThreadPool, asserting the parallel run is numerically identical
+//      to the serial one. Serial and parallel passes are interleaved after
+//      an untimed warm-up, and the gate reads the median of the per-repeat
+//      ratios, and
 //   2. the exact / Schweitzer MVA hot path with a reused MvaWorkspace,
 //      counting heap allocations per call via a global operator-new hook
 //      (must be zero once the workspace is warm), including the exact
@@ -81,8 +84,7 @@ struct SweepCase {
 };
 
 // 8 MPL points x 4 paper workloads, solved with the analytical model only
-// (the testbed runs are benchmarked elsewhere; the solver is this PR's hot
-// path).
+// (the testbed runs are benchmarked by perf_testbed).
 std::vector<SweepCase> MakeSweepCases() {
   using carat::workload::WorkloadSpec;
   struct Factory {
@@ -102,21 +104,35 @@ std::vector<SweepCase> MakeSweepCases() {
   return cases;
 }
 
-// Solves every case, fanning points out over `pool` (null: serial). The
-// per-site MVA parallelism inside Solve() stays off so the measurement
-// isolates sweep-level parallelism.
+// User think times (R_UT, ms) each sweep point is solved at, so a point is
+// 8 cold solves (~1-40 ms): one solve (~0.1-5 ms) was too little work for
+// thread scaling to show above pool overhead and host noise.
+constexpr double kThinkTimesMs[] = {0, 250, 500, 1000, 2000, 4000, 8000, 16000};
+constexpr std::size_t kThinkTimes = std::size(kThinkTimesMs);
+
+// Solves every case at every think time, fanning points out over `pool`
+// (null: serial). The per-site MVA parallelism inside Solve() stays off so
+// the measurement isolates sweep-level parallelism.
 std::vector<double> SolveAll(const std::vector<SweepCase>& cases,
                              carat::exec::ThreadPool* pool, double* elapsed_ms) {
-  std::vector<double> xput(cases.size(), 0.0);
+  std::vector<double> xput(cases.size() * kThinkTimes, 0.0);
   const Clock::time_point start = Clock::now();
   carat::exec::ParallelFor(pool, 0, cases.size(), [&](std::size_t i) {
-    const carat::model::ModelInput input = cases[i].make(cases[i].n).ToModelInput();
-    const carat::model::ModelSolution sol =
-        carat::model::CaratModel(input).Solve();
-    xput[i] = sol.ok ? sol.TotalTxnPerSec() : -1.0;
+    carat::workload::WorkloadSpec spec = cases[i].make(cases[i].n);
+    for (std::size_t t = 0; t < kThinkTimes; ++t) {
+      spec.think_time_ms = kThinkTimesMs[t];
+      const carat::model::ModelSolution sol =
+          carat::model::CaratModel(spec.ToModelInput()).Solve();
+      xput[i * kThinkTimes + t] = sol.ok ? sol.TotalTxnPerSec() : -1.0;
+    }
   });
   *elapsed_ms = ElapsedMs(start);
   return xput;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 // Representative site network: CPU + 2 disks (queueing), 4 delay centers,
@@ -278,13 +294,9 @@ BatchBench BenchBatchSchweitzer() {
                          ? scalar_ms / batch_ms
                          : 0.0);
   }
-  const auto median = [](std::vector<double>* v) {
-    std::sort(v->begin(), v->end());
-    return (*v)[v->size() / 2];
-  };
-  out.scalar_solves_per_s = median(&scalar_rates);
-  out.batch_solves_per_s = median(&batch_rates);
-  out.speedup = median(&ratios);
+  out.scalar_solves_per_s = Median(scalar_rates);
+  out.batch_solves_per_s = Median(batch_rates);
+  out.speedup = Median(ratios);
   return out;
 }
 
@@ -337,18 +349,42 @@ int main(int argc, char** argv) {
   const std::vector<SweepCase> cases = MakeSweepCases();
 
   // ---- End-to-end sweep, serial vs. parallel. ------------------------------
-  double serial_ms = 0.0, parallel_ms = 0.0;
-  const std::vector<double> serial = SolveAll(cases, nullptr, &serial_ms);
-  std::vector<double> parallel;
+  constexpr int kSweepReps = 7;
+  constexpr double kWarmupMs = 2000.0;
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  std::vector<double> serial_runs_ms, parallel_runs_ms, sweep_ratios;
+  bool identical = true;
   {
     carat::exec::ThreadPool pool(static_cast<std::size_t>(jobs));
-    parallel = SolveAll(cases, &pool, &parallel_ms);
+    double ms = 0.0;
+    // Untimed warm-up; the serial result is the reference. The parallel
+    // warm-up keeps every worker busy for kWarmupMs: on a 4-vCPU VM the
+    // guest ran all four workers of a burst that follows an idle spell on
+    // one CPU for its first ~1.2 s, which reads as no scaling at all.
+    const std::vector<double> reference = SolveAll(cases, nullptr, &ms);
+    for (const Clock::time_point warm = Clock::now();
+         ElapsedMs(warm) < kWarmupMs;) {
+      identical = same_bits(SolveAll(cases, &pool, &ms), reference) &&
+                  identical;
+    }
+    for (int rep = 0; rep < kSweepReps; ++rep) {
+      double serial_ms = 0.0, parallel_ms = 0.0;
+      identical = same_bits(SolveAll(cases, nullptr, &serial_ms), reference) &&
+                  identical;
+      identical = same_bits(SolveAll(cases, &pool, &parallel_ms), reference) &&
+                  identical;
+      serial_runs_ms.push_back(serial_ms);
+      parallel_runs_ms.push_back(parallel_ms);
+      sweep_ratios.push_back(parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0);
+    }
   }
-  bool identical = serial.size() == parallel.size();
-  for (std::size_t i = 0; identical && i < serial.size(); ++i) {
-    identical = std::memcmp(&serial[i], &parallel[i], sizeof(double)) == 0;
-  }
-  const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
+  const double serial_ms = Median(serial_runs_ms);
+  const double parallel_ms = Median(parallel_runs_ms);
+  const double speedup = Median(sweep_ratios);
   // The thread-sweep gate arms only with real parallel headroom (the same
   // policy as perf_testbed): on a 1-2 core host the sweep still runs, and
   // identical_output is still enforced, but the speedup is informational.
@@ -395,10 +431,14 @@ int main(int argc, char** argv) {
                "  \"sweep\": {\n"
                "    \"workloads\": 4,\n"
                "    \"points_per_workload\": 8,\n"
+               "    \"think_times_per_point\": %zu,\n"
                "    \"jobs\": %d,\n"
-               "    \"serial_ms\": %.3f,\n"
-               "    \"parallel_ms\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
+               "    \"reps\": %d,\n"
+               "    \"serial_ms_median\": %.3f,\n"
+               "    \"parallel_ms_median\": %.3f,\n"
+               "    \"speedup_median\": %.3f,\n"
+               "    \"speedup_min\": %.3f,\n"
+               "    \"speedup_max\": %.3f,\n"
                "    \"speedup_gate_armed\": %s,\n"
                "    \"identical_output\": %s\n"
                "  },\n"
@@ -433,7 +473,10 @@ int main(int argc, char** argv) {
                "    \"allocs_per_call_warm\": %llu\n"
                "  }\n"
                "}\n",
-               hw, jobs, serial_ms, parallel_ms, speedup,
+               hw, kThinkTimes, jobs, kSweepReps, serial_ms, parallel_ms,
+               speedup,
+               *std::min_element(sweep_ratios.begin(), sweep_ratios.end()),
+               *std::max_element(sweep_ratios.begin(), sweep_ratios.end()),
                sweep_gate_armed ? "true" : "false",
                identical ? "true" : "false", exact.solves_per_s,
                static_cast<unsigned long long>(exact.allocs_per_call),
@@ -451,10 +494,10 @@ int main(int argc, char** argv) {
   std::fclose(f);
 
   std::printf(
-      "sweep: serial %.1f ms, parallel(%d jobs) %.1f ms, speedup %.2fx, "
-      "identical=%s (host has %u hardware threads)\n",
-      serial_ms, jobs, parallel_ms, speedup, identical ? "yes" : "NO",
-      hw);
+      "sweep: serial %.1f ms, parallel(%d jobs) %.1f ms (medians), speedup "
+      "%.2fx median of %d, identical=%s (host has %u hardware threads)\n",
+      serial_ms, jobs, parallel_ms, speedup, kSweepReps,
+      identical ? "yes" : "NO", hw);
   std::printf("exact MVA (warm workspace): %.0f solves/s, %llu allocs/call\n",
               exact.solves_per_s,
               static_cast<unsigned long long>(exact.allocs_per_call));

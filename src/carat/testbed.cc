@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "cc/cc.h"
@@ -29,9 +28,8 @@ using txn::GlobalTxnId;
 using txn::Node;
 using txn::RequestSpec;
 
-// One simulated user TR process and its measurement counters. The driver is
-// pinned to its home site's shard: every field is only touched from home-site
-// events (remote legs carry no accounting).
+// One simulated user TR process and its measurement counters. Every field is
+// only touched from home-site events (remote legs carry no accounting).
 struct UserDriver {
   int home = 0;
   TxnType type = TxnType::kLRO;
@@ -70,49 +68,12 @@ sim::Process RunLeg(sim::Task<void> task, sim::Gate* gate) {
   gate->Signal();
 }
 
-// True when some class actually ships requests to other sites; only then can
-// any event cross a site boundary (REMDO/2PC/abort messages and the global
-// probes that chase distributed wait chains).
-bool IsDistributed(const model::ModelInput& input) {
-  for (const model::SiteParams& site : input.sites) {
-    for (TxnType t :
-         {TxnType::kLRO, TxnType::kLU, TxnType::kDROC, TxnType::kDUC}) {
-      const ClassParams& c = site.Class(t);
-      if (c.population > 0 && c.remote_requests > 0) return true;
-    }
-  }
-  return false;
-}
-
-// Shard count actually used for the run. A distributed workload with zero
-// communication delay admits zero-delay cross-site messages, for which no
-// conservative lookahead window exists: such runs are forced serial.
-int PlannedShards(const model::ModelInput& input, int requested) {
-  if (IsDistributed(input) && input.comm_delay_ms <= 0.0) return 1;
-  int shards = requested;
-  if (shards <= 0) {
-    shards = static_cast<int>(std::thread::hardware_concurrency());
-    if (shards <= 0) shards = 1;
-  }
-  return std::clamp(shards, 1, static_cast<int>(input.sites.size()));
-}
-
-// Conservative lookahead: the communication delay for distributed
-// workloads (every cross-site message pays at least one hop), unbounded for
-// purely local ones (no cross-site message ever exists; the kernel asserts
-// that).
-double PlannedLookahead(const model::ModelInput& input) {
-  if (!IsDistributed(input)) return sim::ShardedKernel::kNoLookahead;
-  return input.comm_delay_ms > 0.0 ? input.comm_delay_ms : 0.0;
-}
-
 class Testbed {
  public:
   Testbed(const model::ModelInput& input, const TestbedOptions& options)
       : input_(input),
         options_(options),
-        kernel_(static_cast<int>(input.sites.size()),
-                PlannedShards(input, options.shards), PlannedLookahead(input)),
+        kernel_(static_cast<int>(input.sites.size())),
         network_(kernel_, input.comm_delay_ms),
         registry_(static_cast<int>(input.sites.size())),
         locks_(kernel_),
@@ -136,7 +97,7 @@ class Testbed {
                                               &locks_.at(index)));
     }
     // Committed-update audit counters, sliced by the crediting coordinator's
-    // home site so CreditCommit stays a home-site write at any shard count.
+    // home site so CreditCommit stays a home-site write.
     shadow_.resize(nodes_.size());
     for (auto& slice : shadow_) {
       for (const auto& node : nodes_) {
@@ -656,7 +617,7 @@ class Testbed {
 
   const model::ModelInput& input_;
   TestbedOptions options_;
-  sim::ShardedKernel kernel_;
+  sim::Kernel kernel_;
   net::Network network_;
   txn::TxnRegistrySet registry_;
   lock::LockManagerSet locks_;

@@ -34,11 +34,10 @@ struct TestbedOptions {
   /// Simulated measurement window (ms).
   double measure_ms = 1'000'000;
 
-  /// Event shards (threads) for the sharded kernel: 1 = serial (default),
-  /// 0 = hardware concurrency. Clamped to the site count. Results are
-  /// byte-identical at any value for the same seed; when the workload is
-  /// distributed with zero communication delay there is no conservative
-  /// lookahead and the run is forced serial.
+  /// Ignored: runs are serial at every value. Kept only because the
+  /// benchmark's testbed_mix workload still sets shards = 2 for its
+  /// fingerprint check and `sim.shard2_over_serial`; the next benchmark
+  /// change removes the field together with both.
   int shards = 1;
 
   lock::VictimPolicy victim_policy = lock::VictimPolicy::kRequester;
@@ -108,7 +107,7 @@ TestbedResult RunTestbed(const model::ModelInput& input,
 
 /// Bit-exact textual digest of every field of `result` (doubles rendered as
 /// hex bit patterns). Two results are byte-identical iff their fingerprints
-/// compare equal; used to enforce the shards=1 vs shards=N invariant.
+/// compare equal; used to pin runs across builds and threads.
 std::string TestbedResultFingerprint(const TestbedResult& result);
 
 }  // namespace carat

@@ -20,8 +20,8 @@ namespace carat::fuzz {
 struct FuzzOptions {
   std::uint64_t seed = 1;
   int num_scenarios = 1000;
-  /// Every Nth scenario also runs the testbed-backed rules (shard identity,
-  /// model-vs-testbed, the testbed half of granule invariance). 0 = never.
+  /// Every Nth scenario also runs the testbed-backed rules (model-vs-testbed,
+  /// backend dominance, the testbed half of granule invariance). 0 = never.
   int testbed_every = 0;
   /// Stop generating after this many wall-clock seconds (0 = no budget).
   /// Scenarios already started always finish, so runs stay replayable: a

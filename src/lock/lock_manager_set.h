@@ -1,10 +1,9 @@
 // Per-site lock managers behind one facade.
 //
-// CARAT keeps a lock table per site; the sharded kernel makes that structural:
-// each site's LockManager lives on that site's timeline and is only touched by
-// events executing there, so sharded runs never contend on lock state. Global
+// CARAT keeps a lock table per site: each site's LockManager lives on that
+// site's timeline and is only touched by events executing there. Global
 // deadlocks (cycles spanning sites) are the distributed detector's job
-// (txn::ProbeDetector), whose probes travel between sites as cross-shard
+// (txn::GlobalDeadlockDetector), whose probes travel between sites as
 // messages.
 
 #ifndef CARAT_LOCK_LOCK_MANAGER_SET_H_
@@ -22,7 +21,7 @@ namespace carat::lock {
 class LockManagerSet {
  public:
   /// One LockManager per site of `kernel`, each on its own site's timeline.
-  explicit LockManagerSet(sim::ShardedKernel& kernel);
+  explicit LockManagerSet(sim::Kernel& kernel);
   LockManagerSet(const LockManagerSet&) = delete;
   LockManagerSet& operator=(const LockManagerSet&) = delete;
 

@@ -9,15 +9,13 @@
 // A hop is also the only way a process changes site: the awaiter always
 // suspends and re-schedules the coroutine on the destination site's
 // timeline, so the resumed code runs on (and may touch the state of) the
-// destination shard. Message counts are kept per sending site so sharded
-// runs never contend on a shared counter.
+// destination site.
 
 #ifndef CARAT_NET_NETWORK_H_
 #define CARAT_NET_NETWORK_H_
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 
 #include "sim/simulation.h"
 
@@ -26,11 +24,8 @@ namespace carat::net {
 /// Message-hop accounting and delay.
 class Network {
  public:
-  Network(sim::ShardedKernel& kernel, double one_way_delay_ms)
-      : kernel_(kernel),
-        delay_ms_(one_way_delay_ms),
-        sent_(std::make_unique<Counter[]>(
-            static_cast<std::size_t>(kernel.num_sites()))) {}
+  Network(sim::Kernel& kernel, double one_way_delay_ms)
+      : kernel_(kernel), delay_ms_(one_way_delay_ms) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -45,35 +40,24 @@ class Network {
     void await_resume() const noexcept {}
   };
 
-  /// One message hop to `dest_site`: counts the message against the sending
-  /// site, delays the caller by alpha, and resumes it on the destination
-  /// site's timeline. Usage: co_await net.Hop(dest);
+  /// One message hop to `dest_site`: counts the message, delays the caller
+  /// by alpha, and resumes it on the destination site's timeline.
+  /// Usage: co_await net.Hop(dest);
   HopAwaiter Hop(int dest_site) {
-    const int from = kernel_.current_site();
-    ++sent_[from >= 0 ? from : dest_site].value;
+    ++messages_;
     return HopAwaiter{*this, dest_site};
   }
 
   double one_way_delay_ms() const { return delay_ms_; }
 
-  /// Total messages sent, summed over sites. Not safe during RunUntil.
-  std::uint64_t messages() const {
-    std::uint64_t total = 0;
-    for (int s = 0; s < kernel_.num_sites(); ++s) total += sent_[s].value;
-    return total;
-  }
-  void ResetStats() {
-    for (int s = 0; s < kernel_.num_sites(); ++s) sent_[s].value = 0;
-  }
+  /// Total messages sent since construction or the last ResetStats.
+  std::uint64_t messages() const { return messages_; }
+  void ResetStats() { messages_ = 0; }
 
  private:
-  struct alignas(64) Counter {
-    std::uint64_t value = 0;
-  };
-
-  sim::ShardedKernel& kernel_;
+  sim::Kernel& kernel_;
   double delay_ms_;
-  std::unique_ptr<Counter[]> sent_;
+  std::uint64_t messages_ = 0;
 };
 
 }  // namespace carat::net

@@ -1,63 +1,45 @@
-// Discrete-event simulation kernel, sharded by site.
+// Discrete-event simulation kernel.
 //
 // The testbed processes (user TRs, TM servers, DM servers, the commit and
-// deadlock machinery) are C++20 coroutines driven by event heaps. Events are
-// arbitrary callbacks, so resources and channels can chain work (complete one
-// service, start the next) without helper coroutines. Time is in
-// milliseconds, matching the model.
+// deadlock machinery) are C++20 coroutines driven by one event heap. Events
+// are arbitrary callbacks, so resources and channels can chain work
+// (complete one service, start the next) without helper coroutines. Time is
+// in milliseconds, matching the model.
 //
-// The kernel owns one timeline per CARAT *site* and runs sites on up to
-// `num_shards` OS threads (site -> shard is `site % num_shards`). Shards
-// synchronize conservatively: the inter-site communication delay is the
-// lookahead L, every cross-site message pays at least L, and each BSP round
-// executes only events strictly below GVT + L (GVT = min heap head across
-// shards). No rollback is ever needed, and because cross-shard delivery is
-// ordered by the (time, origin site, origin seq) key -- never by thread
-// arrival -- the per-site event sequences are byte-identical at any shard
-// count, including the serial num_shards == 1 path.
+// The kernel keeps one clock and one sequence counter per CARAT *site*. An
+// event is stamped by the site that schedules it, and the heap pops events
+// in (time, origin site, origin seq) order. That key is total, so a run's
+// event sequence is a pure function of its seed and input. A run is serial;
+// parallelism comes from running independent kernels (seeds, sweep points)
+// on separate threads, which share no mutable state.
 
 #ifndef CARAT_SIM_SIMULATION_H_
 #define CARAT_SIM_SIMULATION_H_
 
-#include <barrier>
 #include <coroutine>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "sim/event.h"
 
 namespace carat::sim {
 
-class ShardedKernel {
+class Kernel {
  public:
-  static constexpr double kNoLookahead =
-      std::numeric_limits<double>::infinity();
+  explicit Kernel(int num_sites);
+  Kernel(const Kernel&) = delete;
+  Kernel& operator=(const Kernel&) = delete;
 
-  /// `lookahead_ms` is the minimum delay every cross-site message must pay.
-  /// Pass kNoLookahead (infinity) when the workload provably never sends
-  /// cross-site events: shards then free-run to the horizon, and any
-  /// cross-site Schedule trips an assert. `lookahead_ms == 0` is only legal
-  /// with `num_shards == 1` (no conservative window exists).
-  ShardedKernel(int num_sites, int num_shards, double lookahead_ms);
-  ShardedKernel(const ShardedKernel&) = delete;
-  ShardedKernel& operator=(const ShardedKernel&) = delete;
-  ~ShardedKernel();
+  int num_sites() const { return static_cast<int>(per_site_.size()); }
 
-  int num_sites() const { return num_sites_; }
-  int num_shards() const { return num_shards_; }
-  double lookahead_ms() const { return lookahead_ms_; }
-
-  /// Current simulated time (ms) on `site`'s timeline. Site clocks advance
-  /// independently during a run and are aligned to `until` afterwards.
+  /// Current simulated time (ms) on `site`'s timeline: the time of the last
+  /// event executed there, aligned to `until` after each RunUntil.
   double now(int site) const { return per_site_[site].clock; }
 
   /// Schedules `fn` on `site`'s timeline after `delay` ms (>= 0, non-NaN;
-  /// enforced). When called from inside an event, the sending site's clock
-  /// and sequence counter stamp the event; cross-site sends must pay at
-  /// least the lookahead (enforced).
+  /// enforced). When called from inside an event, the executing site's clock
+  /// and sequence counter stamp the event; otherwise the destination's do.
   void Schedule(int site, double delay, SmallFn fn);
 
   /// Schedules a coroutine resumption on `site`'s timeline.
@@ -65,19 +47,12 @@ class ShardedKernel {
     Schedule(site, delay, SmallFn([handle]() { handle.resume(); }));
   }
 
-  /// Runs events until every heap empties or passes `until`. Events
-  /// scheduled beyond `until` remain pending. Spawns `num_shards - 1`
-  /// worker threads for the duration of the call; shard 0 runs on the
-  /// caller. Serial when num_shards == 1.
+  /// Runs events until the heap empties or its head passes `until`. Events
+  /// scheduled beyond `until` remain pending.
   void RunUntil(double until);
 
-  /// Total events executed so far, summed over sites. Identical for the
-  /// same seed at any shard count. Not safe to call during RunUntil.
+  /// Total events executed so far, summed over sites.
   std::uint64_t events_executed() const;
-
-  /// Site of the event currently executing on this thread in this kernel,
-  /// or -1 when called from outside event execution.
-  int current_site() const;
 
  private:
   struct Event {
@@ -96,46 +71,21 @@ class ShardedKernel {
     return a.origin_seq > b.origin_seq;
   }
 
-  struct alignas(64) PerSite {
+  struct PerSite {
     double clock = 0.0;
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
   };
 
-  struct alignas(64) Shard {
-    std::vector<Event> heap;  // binary heap ordered by After()
-    double head = 0.0;        // published heap-head time, +inf when empty
-    std::mutex inbox_mu;
-    std::vector<Event> inbox;  // cross-shard sends, drained each round
-  };
-
-  struct Completion {
-    ShardedKernel* kernel;
-    double until;
-    void operator()() noexcept { kernel->ComputeHorizon(until); }
-  };
-  using Barrier = std::barrier<Completion>;
-
-  void PushLocal(Shard& shard, Event ev);
-  void ExecuteOne(Shard& shard);
-  void RunSerial(double until);
-  void RunShard(int shard_index, double until, Barrier& barrier);
-  void ComputeHorizon(double until) noexcept;
-
-  const int num_sites_;
-  const int num_shards_;
-  const double lookahead_ms_;
-  std::unique_ptr<PerSite[]> per_site_;
-  std::unique_ptr<Shard[]> shards_;
-  // Round state, written only by the barrier completion step.
-  double horizon_ = 0.0;
-  bool done_ = false;
+  std::vector<PerSite> per_site_;
+  std::vector<Event> heap_;  // binary heap ordered by After()
+  int current_site_ = -1;    // site of the executing event, -1 outside one
 };
 
 /// Value handle onto one site's timeline: everything a site-local process or
 /// resource needs from the kernel. Copyable, 16 bytes.
 struct SitePort {
-  ShardedKernel* kernel = nullptr;
+  Kernel* kernel = nullptr;
   int site = 0;
 
   double now() const { return kernel->now(site); }
@@ -162,21 +112,20 @@ struct Delay {
   void await_resume() const noexcept {}
 };
 
-/// Single-site, single-shard facade over ShardedKernel preserving the
-/// original serial API. Converts implicitly to its site-0 SitePort, so the
-/// primitives (Delay, FcfsResource, FifoMutex, ...) accept it directly.
-class Simulation : public ShardedKernel {
+/// Single-site facade over Kernel. Converts implicitly to its site-0
+/// SitePort, so the primitives (Delay, FcfsResource, FifoMutex, ...) accept
+/// it directly.
+class Simulation : public Kernel {
  public:
-  Simulation() : ShardedKernel(/*num_sites=*/1, /*num_shards=*/1,
-                               /*lookahead_ms=*/0.0) {}
+  Simulation() : Kernel(/*num_sites=*/1) {}
 
-  double now() const { return ShardedKernel::now(0); }
+  double now() const { return Kernel::now(0); }
 
   void Schedule(double delay, SmallFn fn) {
-    ShardedKernel::Schedule(0, delay, std::move(fn));
+    Kernel::Schedule(0, delay, std::move(fn));
   }
   void Schedule(double delay, std::coroutine_handle<> handle) {
-    ShardedKernel::Schedule(0, delay, handle);
+    Kernel::Schedule(0, delay, handle);
   }
 
   operator SitePort() { return SitePort{this, 0}; }  // NOLINT

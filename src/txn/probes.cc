@@ -6,7 +6,7 @@
 
 namespace carat::txn {
 
-GlobalDeadlockDetector::GlobalDeadlockDetector(sim::ShardedKernel& kernel,
+GlobalDeadlockDetector::GlobalDeadlockDetector(sim::Kernel& kernel,
                                                net::Network& network,
                                                TxnRegistrySet& registry,
                                                std::vector<Node*> nodes,
@@ -15,9 +15,7 @@ GlobalDeadlockDetector::GlobalDeadlockDetector(sim::ShardedKernel& kernel,
       network_(network),
       registry_(registry),
       nodes_(std::move(nodes)),
-      options_(options),
-      stats_(std::make_unique<SiteStats[]>(
-          static_cast<std::size_t>(kernel.num_sites()))) {}
+      options_(options) {}
 
 void GlobalDeadlockDetector::OnBlock(int node_index, GlobalTxnId waiter,
                                      const std::vector<GlobalTxnId>& holders) {
@@ -41,7 +39,7 @@ void GlobalDeadlockDetector::OnBlock(int node_index, GlobalTxnId waiter,
         continue;
       }
     }
-    ++stats_[node_index].probes_sent;
+    ++probes_sent_;
     ProbeJourney(waiter, node_index, holder, node_index, 0,
                  std::max(waiter, holder));
   }
@@ -87,7 +85,7 @@ sim::Process GlobalDeadlockDetector::ProbeJourney(GlobalTxnId initiator,
     // Keep chasing: `next` may be blocked at this or another node. Purely
     // local segments were already covered by local detection - but a chain
     // local -> distributed -> remote still needs the probe, so follow all.
-    ++stats_[at_node].probes_sent;
+    ++probes_sent_;
     ProbeJourney(initiator, initiator_node, next, at_node, hops + 1,
                  std::max(max_id, next));
   }
@@ -103,7 +101,7 @@ sim::Process GlobalDeadlockDetector::DeliverVictimAbort(GlobalTxnId initiator,
   // CancelWait is a no-op then and the watchdog re-detects if needed.
   if (nodes_[static_cast<std::size_t>(initiator_node)]->locks().CancelWait(
           initiator)) {
-    ++stats_[initiator_node].global_deadlocks;
+    ++global_deadlocks_;
   }
 }
 
@@ -126,22 +124,9 @@ void GlobalDeadlockDetector::StartWatchdogs() {
   for (int s = 0; s < kernel_.num_sites(); ++s) WatchdogAt(s);
 }
 
-std::uint64_t GlobalDeadlockDetector::probes_sent() const {
-  std::uint64_t total = 0;
-  for (int s = 0; s < kernel_.num_sites(); ++s) total += stats_[s].probes_sent;
-  return total;
-}
-
-std::uint64_t GlobalDeadlockDetector::global_deadlocks() const {
-  std::uint64_t total = 0;
-  for (int s = 0; s < kernel_.num_sites(); ++s) {
-    total += stats_[s].global_deadlocks;
-  }
-  return total;
-}
-
 void GlobalDeadlockDetector::ResetStats() {
-  for (int s = 0; s < kernel_.num_sites(); ++s) stats_[s] = SiteStats{};
+  probes_sent_ = 0;
+  global_deadlocks_ = 0;
 }
 
 }  // namespace carat::txn

@@ -3,8 +3,8 @@
 //
 // When a lock request blocks, the local detector first searches the local
 // wait-for graph (lock/lock_manager.h). Probes are then launched along the
-// cross-site wait chain. Under the sharded kernel every piece of state a
-// probe consults is site-local, so a probe is a *journey*: it routes to the
+// cross-site wait chain. Every piece of state a probe consults is
+// site-local, so a probe is a *journey*: it routes to the
 // target's home TM (which knows where the target currently operates), hops
 // on to that node, and evaluates the wait state there; if the chain closes
 // back on the initiator, a global deadlock exists and the initiator is
@@ -21,7 +21,6 @@
 #define CARAT_TXN_PROBES_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/network.h"
@@ -46,7 +45,7 @@ class GlobalDeadlockDetector {
     int max_hops = 16;
   };
 
-  GlobalDeadlockDetector(sim::ShardedKernel& kernel, net::Network& network,
+  GlobalDeadlockDetector(sim::Kernel& kernel, net::Network& network,
                          TxnRegistrySet& registry, std::vector<Node*> nodes,
                          const Options& options);
 
@@ -63,16 +62,11 @@ class GlobalDeadlockDetector {
   /// site's lock manager only.
   void StartWatchdogs();
 
-  // Sums over per-site slices; not safe during RunUntil.
-  std::uint64_t probes_sent() const;
-  std::uint64_t global_deadlocks() const;
+  std::uint64_t probes_sent() const { return probes_sent_; }
+  std::uint64_t global_deadlocks() const { return global_deadlocks_; }
   void ResetStats();
 
  private:
-  struct alignas(64) SiteStats {
-    std::uint64_t probes_sent = 0;
-    std::uint64_t global_deadlocks = 0;
-  };
 
   // One probe for (initiator, target) carrying the chain's running max id:
   // when a cycle closes, only the probe whose initiator *is* that maximum
@@ -89,12 +83,13 @@ class GlobalDeadlockDetector {
                                   int from_node);
   sim::Process WatchdogAt(int site);
 
-  sim::ShardedKernel& kernel_;
+  sim::Kernel& kernel_;
   net::Network& network_;
   TxnRegistrySet& registry_;
   std::vector<Node*> nodes_;
   Options options_;
-  std::unique_ptr<SiteStats[]> stats_;
+  std::uint64_t probes_sent_ = 0;
+  std::uint64_t global_deadlocks_ = 0;
 };
 
 }  // namespace carat::txn

@@ -1,9 +1,8 @@
 // Concurrency-control backend suite (DESIGN.md §15).
 //
 // Pins the four cc::Backend policies end to end:
-//   - sharded determinism: every backend's testbed fingerprint is
-//     byte-identical at shards 1/2/4 (the label carries "tsan-testbed" so
-//     the ThreadSanitizer job inherits the multi-shard runs);
+//   - determinism under contention: every backend's contended 4-node run
+//     keeps the database consistent and repeats bit for bit;
 //   - zero-contention equivalence: with only read locks in play the policies
 //     cannot diverge — model observables are bitwise equal across all four
 //     backends, testbed observables are bitwise equal across the three
@@ -64,12 +63,11 @@ workload::WorkloadSpec ContendedSpec(cc::BackendKind kind) {
   return spec;
 }
 
-TestbedResult RunContended(cc::BackendKind kind, int shards) {
+TestbedResult RunContended(cc::BackendKind kind) {
   TestbedOptions opt;
   opt.seed = 3;
   opt.warmup_ms = 10'000;
   opt.measure_ms = 100'000;
-  opt.shards = shards;
   return RunTestbed(ContendedSpec(kind).ToModelInput(), opt);
 }
 
@@ -130,18 +128,15 @@ void ExpectSameObservables(const TestbedResult& a, const TestbedResult& b,
   }
 }
 
-TEST(CcBackends, ShardedDeterminismFingerprintsPerBackend) {
+TEST(CcBackends, ContendedRunsAreConsistentAndRepeatable) {
   for (const cc::BackendKind kind : cc::kAllBackends) {
-    const TestbedResult serial = RunContended(kind, 1);
-    ASSERT_TRUE(serial.ok) << serial.error;
-    ASSERT_TRUE(serial.database_consistent) << cc::Name(kind);
-    const std::string reference = TestbedResultFingerprint(serial);
-    for (const int shards : {2, 4}) {
-      const TestbedResult sharded = RunContended(kind, shards);
-      ASSERT_TRUE(sharded.ok) << sharded.error;
-      EXPECT_EQ(TestbedResultFingerprint(sharded), reference)
-          << cc::Name(kind) << " diverges at shards=" << shards;
-    }
+    const TestbedResult first = RunContended(kind);
+    ASSERT_TRUE(first.ok) << first.error;
+    ASSERT_TRUE(first.database_consistent) << cc::Name(kind);
+    const TestbedResult second = RunContended(kind);
+    ASSERT_TRUE(second.ok) << second.error;
+    EXPECT_EQ(TestbedResultFingerprint(second), TestbedResultFingerprint(first))
+        << cc::Name(kind) << " diverges between two runs of one seed";
   }
 }
 
@@ -221,14 +216,14 @@ TEST(CcBackends, ZeroContentionBackendsAgree) {
 }
 
 TEST(CcBackends, QueueRecordsZeroDeadlocksWhereTwoPhaseLockingThrashes) {
-  const TestbedResult two_pl = RunContended(cc::BackendKind::k2PL, 1);
+  const TestbedResult two_pl = RunContended(cc::BackendKind::k2PL);
   ASSERT_TRUE(two_pl.ok) << two_pl.error;
   ASSERT_TRUE(two_pl.database_consistent);
   // The contention tier is only meaningful if 2PL is actually thrashing.
   ASSERT_GT(TotalDeadlocks(two_pl), 0u);
   ASSERT_GT(TotalAborts(two_pl), TotalCommits(two_pl));
 
-  const TestbedResult queue = RunContended(cc::BackendKind::kQueue, 1);
+  const TestbedResult queue = RunContended(cc::BackendKind::kQueue);
   ASSERT_TRUE(queue.ok) << queue.error;
   ASSERT_TRUE(queue.database_consistent);
   EXPECT_EQ(TotalDeadlocks(queue), 0u);

@@ -369,8 +369,7 @@ TEST(GeneratorClassMode, FiveThousandDrawsDeterministicAndValidAtN1024) {
 // --------------------------------------------- model vs testbed, large N ---
 
 // The validation suite pins the paper's 2-node design points; this pins the
-// largest configuration the sharded testbed kernel reaches in the tier-1
-// budget. Shards = 0 uses every core (clamped to the site count), and the
+// largest configuration the testbed reaches in the tier-1 budget, and the
 // model — solved hierarchically, 2 classes — must still track the
 // simulation on aggregate throughput.
 TEST(HierValidation, ModelTracksTestbedAtSixteenSites) {
@@ -400,7 +399,6 @@ TEST(HierValidation, ModelTracksTestbedAtSixteenSites) {
 
   carat::TestbedOptions topts;
   topts.seed = 16;
-  topts.shards = 0;
   topts.warmup_ms = 20'000;
   topts.measure_ms = 200'000;
   const carat::TestbedResult sim = carat::RunTestbed(input, topts);

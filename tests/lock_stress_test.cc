@@ -137,13 +137,13 @@ TEST(LockStressVictimPolicies, AllPoliciesPreserveInvariants) {
 
 // ---------------------------------------------------------------------------
 // The same invariants against LockManagerSet: one lock manager per site of a
-// sharded kernel, each hammered by its own site's workers. Checks per-site
+// multi-site kernel, each hammered by its own site's workers. Checks per-site
 // exclusion plus the aggregate stat accessors the testbed relies on.
 
 constexpr int kSites = 3;
 
 struct MultiSiteShared {
-  sim::ShardedKernel kernel{kSites, /*num_shards=*/1, /*lookahead_ms=*/0.0};
+  sim::Kernel kernel{kSites};
   LockManagerSet lms{kernel};
   util::Rng rng{0};
   std::array<std::array<TxnId, kGranules>, kSites> x_owner{};

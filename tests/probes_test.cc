@@ -2,7 +2,7 @@
 // nodes, drive two distributed transactions into a textbook cross-site
 // deadlock, and watch the probes break it.
 //
-// The test transactions follow the sharded kernel's site discipline: every
+// The test transactions follow the testbed's site discipline: every
 // lock table and registry is touched only from its own site's timeline, and
 // moves between sites are explicit network hops (with the coordinator's
 // current-node pointer updated at the home site before departing), exactly
@@ -24,14 +24,14 @@ namespace carat::txn {
 namespace {
 
 struct Harness {
-  sim::ShardedKernel kernel;
+  sim::Kernel kernel;
   net::Network network;
   TxnRegistrySet registry;
   std::vector<std::unique_ptr<Node>> nodes;
   std::unique_ptr<GlobalDeadlockDetector> detector;
 
   explicit Harness(int num_nodes = 2)
-      : kernel(num_nodes, /*num_shards=*/1, /*lookahead_ms=*/1.0),
+      : kernel(num_nodes),
         network(kernel, /*one_way_delay_ms=*/1.0),
         registry(num_nodes) {
     for (int i = 0; i < num_nodes; ++i) {

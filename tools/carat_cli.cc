@@ -32,7 +32,6 @@ struct Flags {
   double hot_access = 0.0;
   int buffer = 0;
   int dm_pool = 0;
-  int testbed_shards = 1;
   bool log_disk = false;
   std::string victim = "requester";
   std::string cc = "2pl";
@@ -55,9 +54,6 @@ void PrintHelp() {
       "  --hot-access <frac>           hot-set access share\n"
       "  --buffer <blocks>             LRU buffer per node (0 = none)\n"
       "  --dm-pool <int>               DM servers per node (0 = unlimited)\n"
-      "  --testbed-shards <int>        event shards for the testbed kernel\n"
-      "                                (1 = serial, 0 = hardware; results are\n"
-      "                                byte-identical at any value)\n"
       "  --log-disk                    separate log disk per node\n"
       "  --victim <requester|youngest|oldest>  deadlock victim policy\n"
       "  --cc <2pl|nowait|waitdie|queue>  concurrency-control backend\n"
@@ -112,9 +108,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--dm-pool") {
       if (!next(&v)) return false;
       flags->dm_pool = static_cast<int>(v);
-    } else if (arg == "--testbed-shards") {
-      if (!next(&v)) return false;
-      flags->testbed_shards = static_cast<int>(v);
     } else if (arg == "--log-disk") {
       flags->log_disk = true;
     } else if (arg == "--victim") {
@@ -185,7 +178,6 @@ int main(int argc, char** argv) {
     opts.seed = flags.seed;
     opts.warmup_ms = flags.warmup_s * 1000.0;
     opts.measure_ms = flags.measure_s * 1000.0;
-    opts.shards = flags.testbed_shards;
     if (flags.victim == "youngest") {
       opts.victim_policy = lock::VictimPolicy::kYoungest;
     } else if (flags.victim == "oldest") {

@@ -4,8 +4,8 @@
 //              --findings-dir docs/findings
 //   carat_fuzz --run --time-budget-s 3600 --seed $(date +%s)
 //   carat_fuzz --generate 10 --seed 3 --out-dir tests/corpus
-//   carat_fuzz --replay docs/findings/shard-identity-s7-12.scn --testbed
-//   carat_fuzz --minimize repro.scn --rule shard-identity --testbed
+//   carat_fuzz --replay docs/findings/model-vs-testbed-s7-12.scn --testbed
+//   carat_fuzz --minimize repro.scn --rule model-vs-testbed --testbed
 //
 // Exit status: 0 = clean, 1 = violations found, 2 = usage / I/O error.
 
