@@ -34,8 +34,9 @@ struct TestbedOptions {
   /// Simulated measurement window (ms).
   double measure_ms = 1'000'000;
 
-  /// Ignored: runs are serial at every value. Kept only because the
-  /// benchmark's testbed_mix workload still sets shards = 2 for its
+  /// Ignored: runs are serial at every value, and bit-identical at every
+  /// value (TestbedDeterminism.*IsShardCountInvariant). Kept only because
+  /// the benchmark's testbed_mix workload still sets shards = 2 for its
   /// fingerprint check and `sim.shard2_over_serial`; the next benchmark
   /// change removes the field together with both.
   int shards = 1;

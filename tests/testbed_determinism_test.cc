@@ -5,6 +5,9 @@
 //
 // FingerprintAnchors pins the paper workloads under every backend, plus a
 // distributed 4-node point at two communication delays, across builds.
+// The *IsShardCountInvariant tests pin the 4-node workloads at shards 1, 2
+// and 4: TestbedOptions::shards is accepted and ignored, so every value must
+// reproduce the anchor the sharded kernel produced at each of them.
 // ConcurrentSeedsMatchSerialRuns runs independent testbeds on pool threads
 // at once; it carries the `tsan` label, so ThreadSanitizer checks that
 // concurrent runs share no mutable state:
@@ -100,6 +103,47 @@ TEST(TestbedDeterminism, FingerprintAnchors) {
         << "mb8 4 nodes alpha=" << point.alpha_ms << ": 0x" << std::hex
         << Fnv1a64(TestbedResultFingerprint(r));
   }
+}
+
+// Runs `input` at shards 1, 2 and 4; each must be consistent and hash to
+// `anchor`.
+void ExpectShardCountInvariant(const model::ModelInput& input,
+                               std::uint64_t anchor) {
+  for (const int shards : {1, 2, 4}) {
+    TestbedOptions opts;
+    opts.seed = 3;
+    opts.warmup_ms = 10'000;
+    opts.measure_ms = 100'000;
+    opts.shards = shards;
+    const TestbedResult r = RunTestbed(input, opts);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.database_consistent);
+    EXPECT_EQ(Fnv1a64(TestbedResultFingerprint(r)), anchor)
+        << "shards=" << shards << ": 0x" << std::hex
+        << Fnv1a64(TestbedResultFingerprint(r));
+  }
+}
+
+TEST(TestbedDeterminism, Lb8IsShardCountInvariant) {
+  // Local-only: no cross-site messages.
+  ExpectShardCountInvariant(workload::MakeLB8(8, 4).ToModelInput(),
+                            0x1b88a161ebdc6688ull);
+}
+
+TEST(TestbedDeterminism, Mb4IsShardCountInvariant) {
+  auto wl = workload::MakeMB4(8, 4);
+  wl.comm_delay_ms = 5.0;
+  ExpectShardCountInvariant(wl.ToModelInput(), 0x2de82b6f2ab17f55ull);
+}
+
+TEST(TestbedDeterminism, Mb8IsShardCountInvariant) {
+  ExpectShardCountInvariant(FourNodeMb8(5.0), 0x7715ce743410b073ull);
+}
+
+TEST(TestbedDeterminism, Ub6IsShardCountInvariant) {
+  auto wl = workload::MakeUB6(6, 4);
+  wl.comm_delay_ms = 5.0;
+  ExpectShardCountInvariant(wl.ToModelInput(), 0x6774f7b73b4ebeafull);
 }
 
 TEST(TestbedDeterminism, ConcurrentSeedsMatchSerialRuns) {
