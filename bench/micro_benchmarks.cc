@@ -85,11 +85,11 @@ void BM_Yao(benchmark::State& state) {
 }
 BENCHMARK(BM_Yao)->Arg(16)->Arg(80);
 
-sim::Process AcquireRelease(lock::LockManager& lm, lock::TxnId txn,
-                            std::size_t granules) {
+sim::Process AcquireRelease(lock::LockManager& lm, sim::SitePort sim,
+                            lock::TxnId txn, std::size_t granules) {
   for (std::size_t g = 0; g < granules; ++g) {
-    co_await lm.Acquire(txn, static_cast<db::GranuleId>(g),
-                        lock::LockMode::kExclusive);
+    co_await lock::AcquireAwaiter{lm, sim, txn, static_cast<db::GranuleId>(g),
+                                  lock::LockMode::kExclusive};
   }
   lm.ReleaseAll(txn);
 }
@@ -98,9 +98,9 @@ void BM_LockAcquireRelease(benchmark::State& state) {
   const std::size_t granules = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulation sim;
-    lock::LockManager lm(sim);
-    lm.StartTxn(1);
-    AcquireRelease(lm, 1, granules);
+    lock::LockManager lm(lock::AcquireAwaiter::Resume);
+    lm.StartTxn(1, sim.now());
+    AcquireRelease(lm, sim, 1, granules);
     sim.RunUntil(1.0);
     lm.EndTxn(1);
     benchmark::DoNotOptimize(lm.requests());

@@ -13,11 +13,13 @@
 //      come from the per-connection histograms merged via
 //      rpc::LatencyHistogram::Merge.
 //
-// Results land in BENCH_dist.json (cwd) so successive PRs can track the
-// numbers. Usage: perf_dist [--out FILE] [--sited-bin PATH]
+// Results land in BENCH_dist.json (cwd), with the host's core count, so
+// successive changes can track the numbers.
+// Usage: perf_dist [--out FILE] [--sited-bin PATH]
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/coordinator.h"
@@ -167,6 +169,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"perf_dist\",\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"cross_check\": {\n"
                "    \"sites\": 2,\n"
                "    \"workload\": \"mb8\",\n"
@@ -200,7 +203,8 @@ int main(int argc, char** argv) {
                "    \"mean_ms\": %.3f\n"
                "  }\n"
                "}\n",
-               check.alpha_rtt_real_ms, check.alpha_virtual_ms,
+               std::thread::hardware_concurrency(), check.alpha_rtt_real_ms,
+               check.alpha_virtual_ms,
                static_cast<unsigned long long>(check.commits),
                static_cast<unsigned long long>(check.global_deadlocks),
                static_cast<unsigned long long>(check.messages_sent),

@@ -249,7 +249,7 @@ class Testbed {
     // A DM server is allocated to the transaction for its lifetime at each
     // node it touches (CARAT's fixed startup pool).
     if (home.dm_pool() != nullptr) co_await home.dm_pool()->Acquire();
-    home.locks().StartTxn(gid);
+    home.locks().StartTxn(gid, home.simulation().now());
 
     std::vector<RequestSpec> plan = BuildPlan(u);
 
@@ -323,7 +323,7 @@ class Testbed {
           // First touch: lazy slave DM assignment, at the slave itself.
           touched[req.node] = true;
           if (exec.dm_pool() != nullptr) co_await exec.dm_pool()->Acquire();
-          exec.locks().StartTxn(gid);
+          exec.locks().StartTxn(gid, exec.simulation().now());
         }
         co_await exec.TmHandle(exec_costs.tm_cpu_ms);  // slave TM, inbound
         if (queued && !upfront_done[static_cast<std::size_t>(req.node)]) {

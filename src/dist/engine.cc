@@ -1,13 +1,43 @@
 #include "dist/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <utility>
 
 namespace carat::dist {
 
+using lock::TxnId;
 using model::ClassParams;
 using model::TxnType;
+
+// ---------------------------------------------------------------------------
+// BlockingLockManager
+// ---------------------------------------------------------------------------
+
+lock::LockOutcome BlockingLockManager::Acquire(TxnId txn,
+                                               db::GranuleId granule,
+                                               lock::LockMode mode) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (lm_.TryAcquire(txn, granule, mode)) return lock::LockOutcome::kGranted;
+  Waiter waiter;
+  if (!lm_.Enqueue(txn, granule, mode, &waiter)) {
+    return lock::LockOutcome::kAborted;
+  }
+  waiter.cv.wait(lock, [&] { return waiter.decided; });
+  return waiter.outcome;
+}
+
+void BlockingLockManager::Resume(void* token, lock::LockOutcome outcome) {
+  // Runs under mu_, inside whichever manager call decided the wait; the
+  // waiter cannot return (and pop `waiter` off its stack) before mu_ is
+  // released.
+  Waiter& waiter = *static_cast<Waiter*>(token);
+  assert(!waiter.decided && "lock waiter resumed twice");
+  waiter.outcome = outcome;
+  waiter.decided = true;
+  waiter.cv.notify_one();
+}
 
 // ---------------------------------------------------------------------------
 // EngineReport wire form
@@ -117,13 +147,14 @@ SiteEngine::SiteEngine(const model::ModelInput& input,
     dm_pool_ = std::make_unique<RtSemaphore>(site.dm_pool_size);
   }
   shadow_.assign(static_cast<std::size_t>(database_.num_records()), 0);
-  locks_.on_block = [this](TxnId waiter, std::vector<TxnId> holders) {
-    // Launch probes off the blocking thread: the journey charges TM/CPU and
-    // sends messages, while the waiter itself just sleeps on the lock.
-    pool_.Submit([this, waiter, holders = std::move(holders)]() mutable {
-      OnBlock(waiter, std::move(holders));
-    });
-  };
+  locks_.With([this](lock::LockManager& lm) {
+    lm.on_block = [this](TxnId waiter, const std::vector<TxnId>& holders) {
+      // Launch probes off the blocking thread: the journey charges TM/CPU
+      // and sends messages, while the waiter itself just sleeps on the lock.
+      // Submit only queues the task, so this hook never re-enters locks_.
+      pool_.Submit([this, waiter, holders] { OnBlock(waiter, holders); });
+    };
+  });
 }
 
 SiteEngine::~SiteEngine() { Stop(); }
@@ -348,6 +379,7 @@ bool SiteEngine::RunOnce(TxnType type, std::uint64_t gid,
     slot->coord_type = type;
     state = slot.get();
   }
+  locks_.StartTxn(gid, NowVms());
   std::vector<bool> touched(static_cast<std::size_t>(options_.num_sites),
                             false);
   touched[static_cast<std::size_t>(options_.site)] = true;
@@ -407,6 +439,7 @@ bool SiteEngine::RunOnce(TxnType type, std::uint64_t gid,
     }
   }
 
+  locks_.EndTxn(gid);  // before local_ empties: Drain() waits on local_
   {
     std::lock_guard<std::mutex> lock(db_mu_);
     local_.erase(gid);
@@ -663,7 +696,7 @@ void SiteEngine::HandleMessage(int from, const std::string& body) {
       std::uint64_t gid = 0;
       wire::TokenReader r(body);
       std::string_view v;
-      if (r.Next(&v) && r.NextU64(&gid)) locks_.CancelWait(gid);
+      if (r.Next(&v) && r.NextU64(&gid)) DeliverVictim(gid, options_.site);
     }
   });
 }
@@ -694,8 +727,9 @@ void SiteEngine::HandleRemdo(int from, const std::string& body) {
     }
     state = slot.get();
   }
-  // First touch: lazy slave DM assignment.
+  // First touch: lazy slave DM assignment; the slave leg begins here.
   if (first && dm_pool_ != nullptr) dm_pool_->Acquire();
+  if (first) locks_.StartTxn(gid, NowVms());
 
   TmHandle(costs.tm_cpu_ms);  // slave TM, inbound
   const bool ok = ExecuteRequestHere(gid, costs, model::IsUpdate(coord_type),
@@ -704,6 +738,7 @@ void SiteEngine::HandleRemdo(int from, const std::string& body) {
     // Deadlock victim at the slave: roll back and vacate the node before the
     // failure response ships home.
     RollbackHere(gid, costs, state);
+    locks_.EndTxn(gid);
     {
       std::lock_guard<std::mutex> lock(db_mu_);
       local_.erase(gid);
@@ -767,6 +802,7 @@ void SiteEngine::HandleCommit(int from, const std::string& body) {
     if (it != local_.end()) CreditCommitted(it->second.get());
   }
   ReleaseLocksHere(gid, costs);
+  locks_.EndTxn(gid);
   {
     std::lock_guard<std::mutex> lock(db_mu_);
     local_.erase(gid);
@@ -797,6 +833,7 @@ void SiteEngine::HandleTabort(int from, const std::string& body) {
   const ClassParams& costs = SlaveCosts(coord_type);
   TmHandle(costs.tm_cpu_ms);
   RollbackHere(gid, costs, state);
+  locks_.EndTxn(gid);
   {
     std::lock_guard<std::mutex> lock(db_mu_);
     local_.erase(gid);
@@ -832,7 +869,7 @@ void SiteEngine::HandleReply(const std::string& body, bool remdo) {
 // Global deadlock probes (edge-chasing with max-gid uniqueness)
 // ---------------------------------------------------------------------------
 
-void SiteEngine::OnBlock(TxnId waiter, std::vector<TxnId> holders) {
+void SiteEngine::OnBlock(TxnId waiter, const std::vector<TxnId>& holders) {
   if (options_.num_sites < 2) return;
   for (const TxnId holder : holders) {
     if (locks_.IsWaiting(holder) || HomeOf(holder) == options_.site) {
@@ -876,10 +913,7 @@ void SiteEngine::HandleProbe(std::uint64_t initiator, int initiator_site,
     if (holder == initiator) {
       // Cycle closed. Only the probe initiated by the cycle's largest gid
       // declares, so exactly one victim dies per cycle.
-      if (initiator >= new_max) {
-        ++global_deadlocks_;
-        DeliverVictim(initiator, initiator_site);
-      }
+      if (initiator >= new_max) DeliverVictim(initiator, initiator_site);
       continue;
     }
     if (locks_.IsWaiting(holder) || HomeOf(holder) == options_.site) {
@@ -897,7 +931,10 @@ void SiteEngine::HandleProbe(std::uint64_t initiator, int initiator_site,
 
 void SiteEngine::DeliverVictim(std::uint64_t initiator, int initiator_site) {
   if (initiator_site == options_.site) {
-    locks_.CancelWait(initiator);
+    // Counted where the victim waits, and only if its wait was still there
+    // to cancel (it may have been granted or aborted meanwhile), as the
+    // in-process GlobalDeadlockDetector counts.
+    if (locks_.CancelWait(initiator)) ++global_deadlocks_;
   } else {
     Send(initiator_site, "VICTIM " + std::to_string(initiator));
   }
@@ -992,7 +1029,7 @@ void SiteEngine::ResetStats() {
   db_disk_.ResetStats();
   if (log_disk_ != nullptr) log_disk_->ResetStats();
   if (dm_pool_ != nullptr) dm_pool_->ResetStats();
-  locks_.ResetStats();
+  locks_.With([](lock::LockManager& lm) { lm.ResetStats(); });
   messages_sent_ = 0;
   probes_sent_ = 0;
   global_deadlocks_ = 0;
@@ -1052,10 +1089,14 @@ EngineReport SiteEngine::Collect() {
     report.log_busy_vms = log_disk_->BusyVirtualMs();
     report.dio += log_disk_->completions();
   }
-  report.lock_requests = locks_.requests();
-  report.lock_blocks = locks_.blocks();
-  report.local_deadlocks = locks_.local_deadlocks();
-  report.cancelled_waits = locks_.cancelled_waits();
+  bool locks_empty = false;
+  locks_.With([&](const lock::LockManager& lm) {
+    report.lock_requests = lm.requests();
+    report.lock_blocks = lm.blocks();
+    report.local_deadlocks = lm.local_deadlocks();
+    report.cancelled_waits = lm.cancelled_waits();
+    locks_empty = lm.Empty();
+  });
   report.global_deadlocks = global_deadlocks_.load();
   report.probes_sent = probes_sent_.load();
   report.messages_sent = messages_sent_.load();
@@ -1082,7 +1123,8 @@ EngineReport SiteEngine::Collect() {
   // committed updates applied to it (atomicity + write serialization).
   {
     std::lock_guard<std::mutex> lock(db_mu_);
-    report.drained = local_.empty();
+    // Drained means no transaction state is left, in the lock table too.
+    report.drained = local_.empty() && locks_empty;
     report.audit_ok = true;
     for (db::RecordId r = 0; r < database_.num_records(); ++r) {
       if (database_.Read(r) !=

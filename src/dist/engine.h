@@ -1,7 +1,8 @@
 // One CARAT site as a real-time protocol engine.
 //
 // SiteEngine hosts everything a site process owns: the site's database with
-// per-transaction before-image journaling, the blocking 2PL lock manager,
+// per-transaction before-image journaling, the site's lock::LockManager
+// (the testbed's own 2PL lock table, driven through BlockingLockManager),
 // the serialized TM server, the CPU / database-disk / log-disk resources
 // (reservation-ledger FCFS, see dist/runtime.h), the resident user TR
 // threads homed here, the slave-side handlers for remote requests and 2PC
@@ -39,14 +40,86 @@
 #include <vector>
 
 #include "db/database.h"
-#include "dist/rt_lock.h"
 #include "dist/runtime.h"
 #include "dist/wire.h"
+#include "lock/lock_manager.h"
 #include "model/params.h"
 #include "util/random.h"
 #include "util/stats.h"
 
 namespace carat::dist {
+
+/// Blocking adapter over lock::LockManager, for an engine where every
+/// transaction leg is a thread, so blocking the thread *is* the lock wait.
+/// One mutex guards the manager. A request that has to wait sleeps on a
+/// condition variable on its own stack, which the manager's resume hook
+/// signals when it grants or cancels the wait. The manager's hooks
+/// (on_block, on_unblock) therefore run with the mutex held: they must not
+/// call back into this object or the manager.
+class BlockingLockManager {
+ public:
+  BlockingLockManager() : lm_(&Resume) {}
+  BlockingLockManager(const BlockingLockManager&) = delete;
+  BlockingLockManager& operator=(const BlockingLockManager&) = delete;
+
+  /// Blocks until the lock is granted or the request is aborted: by the
+  /// conflict policy, as a local deadlock victim, or by CancelWait (a
+  /// global deadlock victim). kAborted means no lock was acquired.
+  lock::LockOutcome Acquire(lock::TxnId txn, db::GranuleId granule,
+                            lock::LockMode mode);
+
+  void StartTxn(lock::TxnId txn, double now) {
+    std::lock_guard<std::mutex> lock(mu_);
+    lm_.StartTxn(txn, now);
+  }
+  void EndTxn(lock::TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    lm_.EndTxn(txn);
+  }
+  void ReleaseAll(lock::TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    lm_.ReleaseAll(txn);
+  }
+  bool CancelWait(lock::TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lm_.CancelWait(txn);
+  }
+  bool IsWaiting(lock::TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lm_.IsWaiting(txn);
+  }
+  std::vector<lock::TxnId> WaitingTxns() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lm_.WaitingTxns();
+  }
+  std::vector<lock::TxnId> WaitingFor(lock::TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lm_.WaitingFor(txn);
+  }
+  std::size_t HeldCount(lock::TxnId txn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lm_.HeldCount(txn);
+  }
+
+  /// Runs fn(manager) under the mutex, for configuration, hooks and
+  /// statistics. fn must not block.
+  template <typename Fn>
+  decltype(auto) With(Fn&& fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fn(lm_);
+  }
+
+ private:
+  struct Waiter {
+    std::condition_variable cv;
+    bool decided = false;
+    lock::LockOutcome outcome = lock::LockOutcome::kGranted;
+  };
+  static void Resume(void* token, lock::LockOutcome outcome);
+
+  std::mutex mu_;
+  lock::LockManager lm_;
+};
 
 /// Per-transaction-type counters a site reports (home-site accounting, as
 /// in the in-process testbed). Sums, not means, so the coordinator can
@@ -269,7 +342,7 @@ class SiteEngine {
   void HandleReply(const std::string& body, bool remdo);
 
   // --- global deadlock probes ----------------------------------------------
-  void OnBlock(TxnId waiter, std::vector<TxnId> holders);
+  void OnBlock(lock::TxnId waiter, const std::vector<lock::TxnId>& holders);
   void HandleProbe(std::uint64_t initiator, int initiator_site,
                    std::uint64_t target, int hops, std::uint64_t max_gid);
   void DeliverVictim(std::uint64_t initiator, int initiator_site);
@@ -290,7 +363,7 @@ class SiteEngine {
   std::unique_ptr<RtResource> log_disk_;  ///< null: shares the db disk
   RtFifoMutex tm_mutex_;
   std::unique_ptr<RtSemaphore> dm_pool_;
-  RtLockManager locks_;
+  BlockingLockManager locks_;
   WorkerPool pool_;
 
   std::mutex db_mu_;  ///< guards database_, shadow_ and LocalTxnState maps

@@ -6,6 +6,12 @@
 // Waits are cancellable so that a transaction chosen as a (local or global)
 // deadlock victim while queued resumes with LockOutcome::kAborted.
 //
+// The manager knows no clock and no threads: a queued request carries an
+// opaque token, which the manager's one ResumeFn wakes. AcquireAwaiter
+// (below) adapts it to coroutines in virtual time, dist::BlockingLockManager
+// to threads in scaled real time, so the testbed and the distributed
+// runtime share one implementation and count blocks and deadlocks alike.
+//
 // Lock-table operations are pure bookkeeping (the testbed keeps the lock
 // table in main memory); the LR-phase CPU cost is charged by the caller.
 
@@ -57,22 +63,35 @@ enum class ConflictPolicy {
 
 class LockManager {
  public:
-  explicit LockManager(sim::SitePort sim) : sim_(sim) {}
+  /// Wakes a queued request with its final outcome. Called exactly once for
+  /// every request Enqueue queued, with the token it was queued with, from
+  /// inside whichever manager call decides it (ReleaseAll, CancelWait, or
+  /// the Enqueue itself).
+  using ResumeFn = void (*)(void* token, LockOutcome outcome);
+
+  explicit LockManager(ResumeFn resume) : resume_(resume) {}
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
-  /// Registers a transaction (start time feeds age-based victim policies).
-  void StartTxn(TxnId txn);
+  /// Registers a transaction born at `now` (the birth time feeds the
+  /// age-based victim policies).
+  void StartTxn(TxnId txn, double now);
 
   /// Forgets a finished transaction. Its locks must already be released.
   void EndTxn(TxnId txn);
 
-  struct AcquireAwaiter;
+  /// First half of an acquire: counts the request and grants it if it can
+  /// be granted at once (compatible, nobody queued ahead, or already held
+  /// strongly enough). True means the lock is held until ReleaseAll.
+  bool TryAcquire(TxnId txn, db::GranuleId granule, LockMode mode);
 
-  /// co_await Acquire(...) returns a LockOutcome. kGranted means the lock is
-  /// held until ReleaseAll; kAborted means the requester was chosen as a
-  /// deadlock victim (no lock acquired) and must roll back.
-  AcquireAwaiter Acquire(TxnId txn, db::GranuleId granule, LockMode mode);
+  /// Second half, for a request TryAcquire refused: counts a block and
+  /// applies the conflict policy. Returns false if the request is aborted
+  /// on the spot (a no-wait conflict, a wait-die death, or a local deadlock
+  /// whose victim is the requester); no lock is acquired and the requester
+  /// must roll back. Otherwise the request is queued, and resume(token,
+  /// outcome) fires exactly once — possibly before Enqueue returns.
+  bool Enqueue(TxnId txn, db::GranuleId granule, LockMode mode, void* token);
 
   /// Releases every lock held by `txn` and grants eligible waiters.
   void ReleaseAll(TxnId txn);
@@ -101,6 +120,13 @@ class LockManager {
   /// Total locks held across all transactions.
   std::size_t TotalHeld() const { return total_held_; }
 
+  /// True when no transaction is registered, holds a lock or waits for
+  /// one: the state a drained site returns to.
+  bool Empty() const {
+    return table_.empty() && held_.empty() && waiting_on_.empty() &&
+           birth_.empty();
+  }
+
   VictimPolicy victim_policy() const { return victim_policy_; }
   void set_victim_policy(VictimPolicy policy) { victim_policy_ = policy; }
 
@@ -108,7 +134,9 @@ class LockManager {
   void set_conflict_policy(ConflictPolicy policy) { conflict_policy_ = policy; }
 
   /// Invoked whenever a request blocks, after the local deadlock check ruled
-  /// out a local cycle; used to launch global deadlock probes.
+  /// out a local cycle; used to launch global deadlock probes. Like
+  /// on_unblock and the ResumeFn, it runs inside a manager call and must
+  /// not call back into the manager.
   std::function<void(TxnId waiter, const std::vector<TxnId>& holders)> on_block;
 
   /// Invoked when a blocked request leaves the wait queue (granted or
@@ -117,6 +145,8 @@ class LockManager {
 
   // --- statistics -----------------------------------------------------------
   std::uint64_t requests() const { return requests_; }
+  /// Requests not granted at once, whatever became of them: queued, or
+  /// aborted on the spot by the conflict policy or a local deadlock.
   std::uint64_t blocks() const { return blocks_; }
   std::uint64_t local_deadlocks() const { return local_deadlocks_; }
   std::uint64_t cancelled_waits() const { return cancelled_waits_; }
@@ -124,18 +154,6 @@ class LockManager {
   /// wait-die); always 0 under ConflictPolicy::kWait.
   std::uint64_t conflict_aborts() const { return conflict_aborts_; }
   void ResetStats();
-
-  struct AcquireAwaiter {
-    LockManager& lm;
-    TxnId txn;
-    db::GranuleId granule;
-    LockMode mode;
-    LockOutcome outcome = LockOutcome::kGranted;
-
-    bool await_ready();
-    bool await_suspend(std::coroutine_handle<> h);
-    LockOutcome await_resume() const { return outcome; }
-  };
 
  private:
   struct Holder {
@@ -145,8 +163,7 @@ class LockManager {
   struct Waiter {
     TxnId txn;
     LockMode mode;
-    std::coroutine_handle<> handle;
-    LockOutcome* outcome;
+    void* token;
   };
   struct GranuleLock {
     std::vector<Holder> holders;
@@ -170,7 +187,7 @@ class LockManager {
                                const std::vector<TxnId>& first_hops) const;
   TxnId ChooseVictim(TxnId requester, const std::vector<TxnId>& cycle) const;
 
-  sim::SitePort sim_;
+  ResumeFn resume_;
   VictimPolicy victim_policy_ = VictimPolicy::kRequester;
   ConflictPolicy conflict_policy_ = ConflictPolicy::kWait;
   std::unordered_map<db::GranuleId, GranuleLock> table_;
@@ -184,6 +201,29 @@ class LockManager {
   std::uint64_t local_deadlocks_ = 0;
   std::uint64_t cancelled_waits_ = 0;
   std::uint64_t conflict_aborts_ = 0;
+};
+
+/// Coroutine adapter: `co_await AcquireAwaiter{lm, sim, txn, granule, mode}`.
+/// kGranted means the lock is held until ReleaseAll; kAborted means the
+/// requester was chosen as a deadlock victim (no lock acquired) and must
+/// roll back. `lm` must be built with AcquireAwaiter::Resume, and `sim` be
+/// the site it lives on: a woken waiter is scheduled there.
+struct AcquireAwaiter {
+  LockManager& lm;
+  sim::SitePort sim;
+  TxnId txn;
+  db::GranuleId granule;
+  LockMode mode;
+  LockOutcome outcome = LockOutcome::kGranted;
+  std::coroutine_handle<> handle = nullptr;
+
+  bool await_ready() { return lm.TryAcquire(txn, granule, mode); }
+  bool await_suspend(std::coroutine_handle<> h);
+  LockOutcome await_resume() const { return outcome; }
+
+  /// The ResumeFn of a manager that serves coroutines: records the outcome,
+  /// then schedules the waiter at delay 0 on its site.
+  static void Resume(void* token, LockOutcome outcome);
 };
 
 }  // namespace carat::lock

@@ -5,8 +5,7 @@ namespace carat::lock {
 LockManagerSet::LockManagerSet(sim::Kernel& kernel) {
   sites_.reserve(static_cast<std::size_t>(kernel.num_sites()));
   for (int s = 0; s < kernel.num_sites(); ++s) {
-    sites_.push_back(
-        std::make_unique<LockManager>(sim::SitePort{&kernel, s}));
+    sites_.push_back(std::make_unique<LockManager>(AcquireAwaiter::Resume));
   }
 }
 

@@ -20,7 +20,8 @@ namespace carat::lock {
 
 class LockManagerSet {
  public:
-  /// One LockManager per site of `kernel`, each on its own site's timeline.
+  /// One coroutine-serving LockManager per site of `kernel`; a process at
+  /// site s acquires with Acquire(at(s), SitePort{&kernel, s}, ...).
   explicit LockManagerSet(sim::Kernel& kernel);
   LockManagerSet(const LockManagerSet&) = delete;
   LockManagerSet& operator=(const LockManagerSet&) = delete;

@@ -24,7 +24,8 @@ Node::Node(sim::SitePort sim, int index, const model::SiteParams& params,
                          sim, params.dm_pool_size)
                    : nullptr),
       owned_locks_(locks == nullptr
-                       ? std::make_unique<lock::LockManager>(sim)
+                       ? std::make_unique<lock::LockManager>(
+                             lock::AcquireAwaiter::Resume)
                        : nullptr),
       locks_(locks == nullptr ? owned_locks_.get() : locks),
       tm_mutex_(sim) {}
@@ -65,7 +66,7 @@ sim::Task<bool> Node::ExecuteRequest(GlobalTxnId gid,
     if (acquire_locks) {
       const double before_lock = sim_.now();
       const lock::LockOutcome outcome =
-          co_await locks_->Acquire(gid, granule, mode);
+          co_await lock::AcquireAwaiter{*locks_, sim_, gid, granule, mode};
       if (acct != nullptr) acct->lock_wait_ms += sim_.now() - before_lock;
       if (outcome == lock::LockOutcome::kAborted) {
         co_return false;  // deadlock victim; caller rolls back everywhere
@@ -101,7 +102,7 @@ sim::Task<bool> Node::AcquireGranules(GlobalTxnId gid,
   for (const db::GranuleId granule : granules) {
     const double before_lock = sim_.now();
     const lock::LockOutcome outcome =
-        co_await locks_->Acquire(gid, granule, mode);
+        co_await lock::AcquireAwaiter{*locks_, sim_, gid, granule, mode};
     if (acct != nullptr) acct->lock_wait_ms += sim_.now() - before_lock;
     if (outcome == lock::LockOutcome::kAborted) co_return false;
   }

@@ -35,8 +35,8 @@ class Node {
  public:
   /// `locks` may point at an externally owned lock manager (the testbed's
   /// per-site LockManagerSet); when null the node owns its own instance
-  /// (standalone/unit-test use). Either way the manager must live on the
-  /// same site timeline as `sim`.
+  /// (standalone/unit-test use). Either way the manager must serve
+  /// coroutines (lock::AcquireAwaiter::Resume) and belong to `sim`'s site.
   Node(sim::SitePort sim, int index, const model::SiteParams& params,
        lock::LockManager* locks = nullptr);
 

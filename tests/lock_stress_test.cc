@@ -25,7 +25,7 @@ constexpr db::GranuleId kGranules = 12;  // small pool => heavy conflicts
 
 struct Shared {
   sim::Simulation sim;
-  LockManager lm{sim};
+  LockManager lm{AcquireAwaiter::Resume};
   util::Rng rng{0};
   // External mirror of who holds what, maintained by the workers.
   std::array<TxnId, kGranules> x_owner{};
@@ -41,7 +41,7 @@ sim::Process Worker(Shared& ctx, int rounds) {
   util::Rng rng = ctx.rng.Fork();
   for (int round = 0; round < rounds;) {
     const TxnId gid = ctx.next_gid++;
-    ctx.lm.StartTxn(gid);
+    ctx.lm.StartTxn(gid, ctx.sim.now());
     const bool exclusive = rng.NextDouble() < 0.5;
     const LockMode mode = exclusive ? LockMode::kExclusive : LockMode::kShared;
 
@@ -56,7 +56,8 @@ sim::Process Worker(Shared& ctx, int rounds) {
     std::vector<db::GranuleId> held;
     for (const db::GranuleId g : picks) {
       co_await sim::Delay{ctx.sim, 1.0 + rng.NextDouble() * 3.0};
-      const LockOutcome outcome = co_await ctx.lm.Acquire(gid, g, mode);
+      const LockOutcome outcome =
+          co_await AcquireAwaiter{ctx.lm, ctx.sim, gid, g, mode};
       if (outcome == LockOutcome::kAborted) {
         aborted = true;
         break;
@@ -163,7 +164,7 @@ sim::Process SiteWorker(MultiSiteShared& ctx, int site, int rounds) {
   auto& s_holders = ctx.s_holders[site];
   for (int round = 0; round < rounds;) {
     const TxnId gid = ctx.next_gid++;
-    lm.StartTxn(gid);
+    lm.StartTxn(gid, port.now());
     const bool exclusive = rng.NextDouble() < 0.5;
     const LockMode mode = exclusive ? LockMode::kExclusive : LockMode::kShared;
 
@@ -177,7 +178,8 @@ sim::Process SiteWorker(MultiSiteShared& ctx, int site, int rounds) {
     std::vector<db::GranuleId> held;
     for (const db::GranuleId g : picks) {
       co_await sim::Delay{port, 1.0 + rng.NextDouble() * 3.0};
-      const LockOutcome outcome = co_await lm.Acquire(gid, g, mode);
+      const LockOutcome outcome =
+          co_await AcquireAwaiter{lm, port, gid, g, mode};
       if (outcome == LockOutcome::kAborted) {
         aborted = true;
         break;

@@ -15,18 +15,18 @@ struct Outcome {
   LockOutcome result = LockOutcome::kGranted;
 };
 
-sim::Process AcquireOne(LockManager& lm, TxnId txn, db::GranuleId g,
-                        LockMode mode, Outcome* out) {
-  out->result = co_await lm.Acquire(txn, g, mode);
-  out->resumed = true;
-}
-
 class LockTest : public ::testing::Test {
  protected:
   sim::Simulation sim_;
-  LockManager lm_{sim_};
+  LockManager lm_{AcquireAwaiter::Resume};
 
-  void Start(TxnId t) { lm_.StartTxn(t); }
+  sim::Process AcquireOne(LockManager& lm, TxnId txn, db::GranuleId g,
+                          LockMode mode, Outcome* out) {
+    out->result = co_await AcquireAwaiter{lm, sim_, txn, g, mode};
+    out->resumed = true;
+  }
+
+  void Start(TxnId t) { lm_.StartTxn(t, sim_.now()); }
   void Drain() { sim_.RunUntil(sim_.now() + 1.0); }
 };
 

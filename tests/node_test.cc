@@ -26,7 +26,7 @@ struct ExecResult {
 sim::Process RunRequest(Node& node, GlobalTxnId gid,
                         const model::ClassParams& costs,
                         RequestSpec request, ExecResult* out) {
-  node.locks().StartTxn(gid);
+  node.locks().StartTxn(gid, node.simulation().now());
   out->ok = co_await node.ExecuteRequest(gid, costs, request);
   out->done = true;
   out->finished_at = node.simulation().now();

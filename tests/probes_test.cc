@@ -76,18 +76,22 @@ sim::Process CrossSiteTxn(Harness& h, GlobalTxnId gid, int first_node,
                           db::GranuleId first_granule, int second_node,
                           db::GranuleId second_granule, TxnState* out) {
   co_await h.network.Hop(first_node);
-  h.nodes[first_node]->locks().StartTxn(gid);
-  auto r1 = co_await h.nodes[first_node]->locks().Acquire(
-      gid, first_granule, lock::LockMode::kExclusive);
+  Node& first = *h.nodes[first_node];
+  first.locks().StartTxn(gid, first.simulation().now());
+  auto r1 = co_await lock::AcquireAwaiter{first.locks(), first.simulation(),
+                                          gid, first_granule,
+                                          lock::LockMode::kExclusive};
   EXPECT_EQ(r1, lock::LockOutcome::kGranted);
   co_await sim::Delay{sim::SitePort{&h.kernel, first_node}, 5.0};
+  Node& second = *h.nodes[second_node];
   if (second_node != first_node) {
     h.registry.at(first_node).SetCurrentNode(gid, second_node);
     co_await h.network.Hop(second_node);
-    h.nodes[second_node]->locks().StartTxn(gid);
+    second.locks().StartTxn(gid, second.simulation().now());
   }
-  auto r2 = co_await h.nodes[second_node]->locks().Acquire(
-      gid, second_granule, lock::LockMode::kExclusive);
+  auto r2 = co_await lock::AcquireAwaiter{second.locks(), second.simulation(),
+                                          gid, second_granule,
+                                          lock::LockMode::kExclusive};
   out->aborted = (r2 == lock::LockOutcome::kAborted);
   h.nodes[second_node]->locks().ReleaseAll(gid);
   if (second_node != first_node) {
